@@ -211,6 +211,8 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
         raise ValueError("solvers require an even tensor order")
     if x0.shape != (A.dim,):
         raise ValueError(f"x0 must have length {A.dim}, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     if not np.any(x0):
         raise ValueError("x0 must be nonzero")
 

@@ -4,6 +4,11 @@ An order-m dimension-n tensor is stored densely as a numpy array of shape
 (n, ..., n).  Contractions against a vector x follow the multilinear
 conventions: T x^m is a scalar, T x^{m-1} a vector, and T x^{m-2} a
 symmetric matrix, each summing the free indices against copies of x.
+
+A dense tensor computes T x^{m-2} in one pass over its entries and keeps it
+for the last point it was asked about, so the three contractions at the same
+point share that pass: T x^{m-1} = (T x^{m-2}) x and T x^m = x . (T x^{m-1}).
+The matrix ``contract_m_minus_2`` returns is read-only.
 """
 
 from __future__ import annotations
@@ -78,8 +83,9 @@ class DenseSymmetricTensor(TensorOperator):
     """Fully dense order-m dimension-n tensor with symmetric entries.
 
     Entries are held as a read-only ndarray of shape (n,) * m.  Construction
-    verifies invariance under index permutations unless ``validate=False``
-    (used internally where symmetry holds by construction).
+    verifies that they are finite and invariant under index permutations
+    unless ``validate=False`` (used internally where symmetry holds by
+    construction).
     """
 
     def __init__(self, entries, validate: bool = True):
@@ -92,10 +98,15 @@ class DenseSymmetricTensor(TensorOperator):
         self.entries = arr
         self.order = arr.ndim
         self.dim = arr.shape[0]
+        # (x.tobytes(), T x^{m-2}) for the last point; one tuple, so a reader
+        # never pairs a new key with an old matrix.
+        self._last: tuple[bytes, np.ndarray | None] = (b"", None)
         if validate:
             self._validate_symmetry()
 
     def _validate_symmetry(self) -> None:
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("entries must be finite")
         if self.entries.size <= _EXHAUSTIVE_CHECK_LIMIT:
             flat = self.entries.ravel()
             if not np.array_equal(flat, flat[_class_keys(self.dim, self.order)]):
@@ -111,19 +122,26 @@ class DenseSymmetricTensor(TensorOperator):
     def __repr__(self) -> str:
         return f"DenseSymmetricTensor(order={self.order}, dim={self.dim})"
 
+    def _matrix_at(self, x: np.ndarray) -> np.ndarray:
+        """Read-only T x^{m-2}, from one reduce pass unless x is the last point."""
+        key = x.tobytes()
+        last_key, M = self._last
+        if last_key != key:
+            M = functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
+            M.setflags(write=False)
+            self._last = (key, M)
+        return M
+
     def contract_m(self, x) -> float:
         x = self._coerce(x)
-        return float(functools.reduce(np.dot, [self.entries] + [x] * self.order))
+        return float(np.dot(np.dot(self._matrix_at(x), x), x))
 
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
-        return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 1))
+        return np.dot(self._matrix_at(x), x)
 
     def contract_m_minus_2(self, x) -> np.ndarray:
-        x = self._coerce(x)
-        if self.order == 2:
-            return self.entries
-        return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
+        return self._matrix_at(self._coerce(x))
 
 
 @dataclass(frozen=True)

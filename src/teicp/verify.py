@@ -38,7 +38,8 @@ class ResidualTriple:
     comp: float
 
     def max_violation(self) -> float:
-        return max(self.primal, self.dual, self.comp)
+        """Largest violation; NaN if any component is NaN, so it never certifies."""
+        return float(np.max([self.primal, self.dual, self.comp]))
 
 
 def residual(A: TensorOperator, B: TensorOperator, lam: float, x) -> ResidualTriple:

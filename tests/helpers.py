@@ -7,6 +7,7 @@ sampling.  Property functions assert internally and are reused by the
 acceptance suite.
 """
 
+import functools
 import itertools
 import math
 
@@ -30,7 +31,7 @@ from teicp import (
 )
 from teicp.problems import random_symmetric
 from teicp.solvers import Status
-from teicp.tensor import diagonal_tensor
+from teicp.tensor import DenseSymmetricTensor, diagonal_tensor
 
 
 def dense_contract(entries, x, times):
@@ -50,6 +51,29 @@ def dense_contract(entries, x, times):
         else:
             out += w
     return out
+
+
+class ReduceTensor(DenseSymmetricTensor):
+    """Dense tensor that runs a fresh reduce chain for every contraction.
+
+    These are the per-call kernels the shared-pass ``DenseSymmetricTensor``
+    replaced; its results must match them bit for bit.  Subclassing keeps the
+    polish step's ``isinstance`` path the same for both.
+    """
+
+    def contract_m(self, x) -> float:
+        x = self._coerce(x)
+        return float(functools.reduce(np.dot, [self.entries] + [x] * self.order))
+
+    def contract_m_minus_1(self, x) -> np.ndarray:
+        x = self._coerce(x)
+        return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 1))
+
+    def contract_m_minus_2(self, x) -> np.ndarray:
+        x = self._coerce(x)
+        if self.order == 2:
+            return self.entries
+        return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
 
 
 def min_eig_det_bisect(M, tol=1e-12):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import check_lemma1, min_eig_det_bisect
+from helpers import ReduceTensor, check_lemma1, min_eig_det_bisect
+from test_acceptance import STARTS
 from teicp.merit import MeritKind, rayleigh_gradient
-from teicp.problems import random_start, random_symmetric
+from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import project_sphere_plus
 from teicp.solvers import (
     SOLVERS,
@@ -276,6 +279,55 @@ def test_solvers_reject_bad_problems():
         spg1(HIdentity(4, 2), HIdentity(4, 2), np.zeros(2))
     with pytest.raises(ValueError):
         spg1(HIdentity(4, 2), HIdentity(4, 2), np.ones(3))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solvers_reject_non_finite_x0(name, ex1):
+    A, B = ex1
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            SOLVERS[name](A, B, np.array([bad, 1.0, 1.0]))
+
+
+def _fingerprint(rep):
+    """Every bit of a report except its wall time."""
+    r = rep.residual
+    return (
+        rep.status,
+        rep.iters,
+        rep.pair.lam.hex(),
+        rep.pair.x.tobytes(),
+        np.array([r.primal, r.dual, r.comp]).tobytes(),
+        [np.array(dataclasses.astuple(t), dtype=float).tobytes() for t in rep.trace],
+        [x.tobytes() for x in rep.iterates],
+    )
+
+
+def _gate_cases():
+    for name, x0 in STARTS.items():
+        yield name, [np.array(x0)]
+    yield "rand:n=6,m=4", [random_start(6, seed) for seed in range(4)]
+    yield "rand:n=4,m=6", [random_start(4, seed) for seed in range(4)]
+
+
+def test_shared_pass_is_bit_identical_to_per_call_reduce():
+    """The cached single pass reproduces the per-call reduce chains exactly."""
+    runs = 0
+    for problem, starts in _gate_cases():
+        A, B = build(parse_problem(problem))
+        A_ref = ReduceTensor(A.entries, validate=False)
+        for name, solver in SOLVERS.items():
+            merits = [MeritKind.RAYLEIGH]
+            if name in ("spg1", "spg2"):
+                merits.append(MeritKind.LOGARITHMIC)
+            for merit in merits:
+                cfg = SolverConfig(merit=merit, keep_iterates=True)
+                for i, x0 in enumerate(starts):
+                    got = _fingerprint(solver(A, B, x0, cfg))
+                    want = _fingerprint(solver(A_ref, B, x0, cfg))
+                    assert got == want, (problem, name, merit, i)
+                    runs += 1
+    assert runs == 6 * 7 + 2 * 7 * 4
 
 
 def test_config_validation():

@@ -1,9 +1,14 @@
+import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import dense_contract
+import teicp.solvers
+import teicp.tensor
+from helpers import ReduceTensor, dense_contract
+from teicp.problems import build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
     HIdentity,
@@ -248,3 +253,75 @@ def test_large_tensor_uses_sampled_validation():
     arr[(0,) * 8] = 1.0
     T = DenseSymmetricTensor(arr)
     assert T.order == 8 and T.entries.size == 6**8
+
+
+def test_non_finite_entry_rejected():
+    T = random_symmetric(2, 4, 0)
+    for bad in (np.nan, np.inf):
+        arr = np.array(T.entries)
+        arr[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DenseSymmetricTensor(arr)
+
+
+def _assert_matches_reduce(T, ref, x):
+    assert T.contract_m(x).hex() == ref.contract_m(x).hex()
+    assert T.contract_m_minus_1(x).tobytes() == ref.contract_m_minus_1(x).tobytes()
+    assert T.contract_m_minus_2(x).tobytes() == ref.contract_m_minus_2(x).tobytes()
+
+
+def test_cache_follows_in_place_mutation(rng):
+    for m in (2, 4, 6):
+        T = random_symmetric(3, m, m)
+        ref = ReduceTensor(T.entries, validate=False)
+        x = rng.standard_normal(3)
+        _assert_matches_reduce(T, ref, x)
+        x[1] += 0.5
+        _assert_matches_reduce(T, ref, x)
+
+
+def test_cache_alternating_points(rng):
+    T = random_symmetric(4, 4, 21)
+    ref = ReduceTensor(T.entries, validate=False)
+    x, y = rng.standard_normal(4), rng.standard_normal(4)
+    for _ in range(3):
+        _assert_matches_reduce(T, ref, x)
+        _assert_matches_reduce(T, ref, y)
+
+
+def test_matrix_contraction_is_read_only(rng):
+    for m in (2, 4):
+        T = random_symmetric(3, m, 2)
+        M = T.contract_m_minus_2(rng.standard_normal(3))
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("problem", ["rand:n=6,m=4", "rand:n=4,m=6", "ex1", "ex4:n=5"])
+def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
+    """Before the polish, spp and sspa pass over A once per iterate: iters + 1."""
+    passes = []
+    at_polish = []
+    polish = teicp.solvers._polish
+
+    def counting_reduce(*args):
+        passes.append(1)
+        return functools.reduce(*args)
+
+    def spy_polish(*args):
+        at_polish.append(len(passes))
+        return polish(*args)
+
+    monkeypatch.setattr(teicp.tensor, "functools", SimpleNamespace(reduce=counting_reduce))
+    monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
+    converged = 0
+    for solver in (teicp.solvers.spp, teicp.solvers.sspa):
+        for seed in range(15):
+            A, B = build(parse_problem(problem))
+            passes.clear()
+            at_polish.clear()
+            rep = solver(A, B, random_start(A.dim, seed))
+            if rep.status is teicp.solvers.Status.CONVERGED:
+                assert at_polish == [rep.iters + 1], (solver.__name__, seed)
+                converged += 1
+    assert converged == 30

@@ -65,6 +65,14 @@ def test_is_pareto_eigenpair_examples(diag_example, ex1):
     assert is_pareto_eigenpair(A1, B1, 0.3633, x, 1e-3)
 
 
+def test_nan_pair_never_certifies(ex1):
+    A, B = ex1
+    r = residual(A, B, np.nan, np.array([np.nan, 1.0, 1.0]))
+    assert np.isnan(r.max_violation())
+    assert not is_pareto_eigenpair(A, B, np.nan, [np.nan, 1.0, 1.0], 1e-8)
+    assert not is_pareto_eigenpair(A, B, np.nan, [0.2678, 0.6446, 0.7161], 1e-3)
+
+
 def test_is_pareto_eigenpair_rejects_zero_vector(diag_example):
     _, A, B = diag_example
     with pytest.raises(ValueError):
