@@ -49,9 +49,6 @@ from .tensor import (
     HIdentity,
     TensorOperator,
     ZIdentity,
-    contract_m,
-    contract_m_minus_1,
-    contract_m_minus_2,
     diagonal_tensor,
     load_tensor_json,
     principal_subtensor,

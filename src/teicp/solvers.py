@@ -10,9 +10,17 @@ and return a :class:`SolverReport` with a per-iteration trace:
 * ``spp``  -- shifted projected power iteration; an adaptive shift
   r_k = max(0, (tau - lambda_min(H_k)) / m) keeps the objective locally
   convex before thresholding and renormalizing the ascent direction.
-* ``spa``  -- scaling-and-projection: steps by the residual gradient with
-  step length equal to its own norm, then rescales to B x^m = 1.
-* ``sspa`` -- spa with the same adaptive shift as spp.
+* ``sspa`` -- shifted scaling-and-projection: steps along the residual
+  y_k = A x_k^{m-1} - lambda_k B x_k^{m-1} plus the same adaptive shift
+  r_k m x_k, with step length equal to the norm of that direction, then
+  rescales to B x^m = 1.
+* ``spa``  -- sspa with the shift forced to r_k = 0.
+
+All five run one driver loop, which owns the set-up, the stop tests, the
+trace rows and the report; a small step rule supplies what differs.  spg1
+and spg2 share the SPG rule and differ only in the trial point of the line
+search, x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa
+and spa share the power rule.
 
 The spectral (Barzilai-Borwein) step length beta = <s, s> / <s, y> drives
 both SPG variants, clamped to safeguards.  Because the solvers maximize,
@@ -39,7 +47,7 @@ from .merit import (
     rayleigh_value,
 )
 from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
-from .tensor import TensorOperator
+from .tensor import DenseSymmetricTensor, HIdentity, TensorOperator, ZIdentity, principal_subtensor
 from .verify import ResidualTriple, residual
 
 __all__ = [
@@ -82,8 +90,8 @@ class Backtrack(Enum):
 class SolverConfig:
     """Shared solver parameters.
 
-    ``backtrack=None`` keeps the SPG default of safeguarded quadratic
-    interpolation; ``Backtrack.HALVING`` selects plain halving.  With
+    ``backtrack`` picks how the SPG line search shrinks a rejected step:
+    safeguarded quadratic interpolation (default) or plain halving.  With
     ``paper_literal_safeguards`` the BB clamp interval is rebuilt each
     update from the current gradient norm g as [min(g, 1/g), max(g, 1/g)],
     which caps the raw spectral displacement ||beta g|| at max(1, ||g||^2),
@@ -101,7 +109,7 @@ class SolverConfig:
     merit: MeritKind = MeritKind.RAYLEIGH
     beta_min: float = 1e-10
     beta_max: float = 1e10
-    backtrack: Backtrack | None = None
+    backtrack: Backtrack = Backtrack.QUADRATIC_INTERPOLATION
     paper_literal_safeguards: bool | None = None
     keep_iterates: bool = False
 
@@ -275,7 +283,6 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     result only if it is feasible and strictly reduces the residual.  The
     trace and iteration counts of the main loop are untouched.
     """
-    m = A.order
     best_viol = residual(A, B, lam, x).max_violation()
     best = (lam, x)
     if best_viol <= target:
@@ -299,8 +306,6 @@ def _polish(A, B, lam, x, target: float = 1e-10):
 
 def _newton_face(A, B, lam, x, support):
     """Newton iteration for the eigensystem restricted to one face."""
-    from .tensor import DenseSymmetricTensor, principal_subtensor
-
     n = A.dim
     m = A.order
     full = np.arange(n)
@@ -345,8 +350,6 @@ def _newton_face(A, B, lam, x, support):
 
 
 def _restrict_operator(B, support):
-    from .tensor import DenseSymmetricTensor, HIdentity, ZIdentity, principal_subtensor
-
     if isinstance(B, ZIdentity):
         return ZIdentity(B.order, support.size)
     if isinstance(B, HIdentity):
@@ -383,6 +386,175 @@ def _shrink(alpha: float, f0: float, f_trial: float, slope: float, mode: Backtra
     return min(max(alpha * alpha * slope / denom, 0.1 * alpha), 0.9 * alpha)
 
 
+class _SpgRule:
+    """Spectral projected gradient step with a monotone Armijo line search.
+
+    spg1 (``curvilinear=False``) tries x + alpha d with d = P(x + beta g) - x
+    and renormalizes the accepted point; spg2 (``curvilinear=True``) tries
+    P(x + alpha g) from alpha = beta and uses the gradient-scaled BB band.
+    """
+
+    def __init__(self, A, B, cfg: SolverConfig, curvilinear: bool):
+        self.A, self.B, self.cfg, self.curvilinear = A, B, cfg, curvilinear
+
+    def start(self, x):
+        ev = evaluate(self.A, self.B, x, self.cfg.merit)
+        self.val, self.g = ev.value, ev.gradient
+        self.gnorm = float(np.linalg.norm(self.g))
+        self.beta = 1.0 / self.gnorm if self.gnorm > 0.0 else 1.0
+        return x, ev.lam
+
+    def measure(self, x, lam):
+        return (self.val, self.gnorm, self.beta, 0.0), None
+
+    def stationary(self, x, k) -> bool:
+        if k and self.gnorm <= self.cfg.tol:
+            return True
+        self.d = project_sphere_plus(x + self.beta * self.g) - x
+        return float(np.linalg.norm(self.d)) < self.cfg.tol
+
+    def step(self, x, lam):
+        A, B, cfg, g, val = self.A, self.B, self.cfg, self.g, self.val
+        alpha = self.beta if self.curvilinear else 1.0
+        slope = float(g @ self.d)
+        for _ in range(LINE_SEARCH_MAX_TRIALS):
+            if self.curvilinear:
+                trial = project_sphere_plus(x + alpha * g)
+                # The chord g . (x_+ - x) already grows with alpha, so the
+                # quadratic model below takes chord / alpha as its slope.
+                slope = float(g @ (trial - x))
+            else:
+                trial = x + alpha * self.d
+            try:
+                f_trial = _trial_value(A, B, trial, cfg.merit)
+            except _DOMAIN_ERRORS:
+                return None, None, 0.0, Status.DOMAIN_ERROR
+            if f_trial >= val + cfg.rho * alpha * slope:
+                break
+            model_slope = slope / alpha if self.curvilinear else slope
+            alpha = _shrink(alpha, val, f_trial, model_slope, cfg.backtrack)
+        else:
+            return None, None, 0.0, Status.LINE_SEARCH_FAILURE
+        x_new = trial if self.curvilinear else trial / np.linalg.norm(trial)
+        try:
+            ev = evaluate(A, B, x_new, cfg.merit)
+        except _DOMAIN_ERRORS:
+            return None, None, 0.0, Status.DOMAIN_ERROR
+        gnorm = float(np.linalg.norm(ev.gradient))
+        lo, hi = _bb_bounds(cfg, gnorm, literal_default=self.curvilinear)
+        # Maximizing f is minimizing -f, whose gradient difference is
+        # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
+        self.beta = _bb_clamped(x_new - x, g - ev.gradient, lo, hi)
+        self.val, self.g, self.gnorm = ev.value, ev.gradient, gnorm
+        return x_new, ev.lam, alpha, None
+
+
+class _PowerRule:
+    """Power step along the residual plus an optional convexifying shift.
+
+    Unscaled (spp): the Rayleigh gradient g plus r m x is thresholded to the
+    orthant and renormalized.  Scaled (sspa, and spa with r = 0): iterates sit
+    on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
+    by a step length equal to its norm, before rescaling.
+    """
+
+    def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
+        if cfg.merit is not MeritKind.RAYLEIGH:
+            raise ValueError(
+                "merit=log is supported by spg1 and spg2 only; "
+                "spp, spa and sspa use the Rayleigh quotient"
+            )
+        self.A, self.B, self.cfg, self.scaled, self.shifted = A, B, cfg, scaled, shifted
+
+    def start(self, x):
+        if self.scaled:
+            x = b_normalize(x, self.B)
+        return x, rayleigh_value(self.A, self.B, x)
+
+    def measure(self, x, lam):
+        A, B, m = self.A, self.B, self.A.order
+        if self.scaled:
+            g = A.contract_m_minus_1(x) - lam * B.contract_m_minus_1(x)
+        else:
+            g = rayleigh_gradient(A, B, x)
+        shift = 0.0
+        ascent = g
+        if self.shifted:
+            H = rayleigh_hessian(A, B, x)
+            # The scaled step field is y, not the full Rayleigh gradient
+            # m y / B x^m, so the curvature matrix for the shift is its
+            # Jacobian, which at the B x^m = 1 scale equals H / m.
+            shift = convexity_shift(H / m if self.scaled else H, self.cfg.tau, m)
+            ascent = g + shift * m * x
+        if not self.scaled:
+            ascent = project_orthant(ascent)
+        gnorm = float(np.linalg.norm(g))
+        self.ascent = ascent
+        self.length = gnorm if ascent is g else float(np.linalg.norm(ascent))
+        # spp stops on its thresholded direction, spa and sspa on the residual.
+        self.stop_norm = gnorm if self.scaled else self.length
+        degenerate = not self.scaled and self.length == 0.0
+        return (lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None
+
+    def stationary(self, x, k) -> bool:
+        return self.stop_norm <= self.cfg.tol
+
+    def step(self, x, lam):
+        if not self.scaled:
+            x = self.ascent / self.length
+            return x, rayleigh_value(self.A, self.B, x), 0.0, None
+        u = project_sphere_plus(x + self.length * self.ascent)
+        try:
+            x = b_normalize(u, self.B)
+        except ScalingError:
+            return None, None, self.length, Status.DOMAIN_ERROR
+        return x, rayleigh_value(self.A, self.B, x), self.length, None
+
+
+def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverReport:
+    """The one loop every solver runs; ``rule_type(A, B, cfg, **flags)`` steps.
+
+    At each iterate the rule measures the trace fields.  The run then stops,
+    in this order, on the rule's degenerate-direction failure, on a lambda or
+    x change within tol since the last iterate or the rule's stationarity
+    test, and at the iteration cap; otherwise the rule steps.  A failed step
+    ends the run at the current iterate, whose trace row keeps the step the
+    rule reports.
+    """
+    cfg = cfg or SolverConfig()
+    x0 = np.asarray(x0, dtype=float)
+    _check_problem(A, B, x0)
+    rule = rule_type(A, B, cfg, **flags)
+    run = _Run(A, B, cfg, time.perf_counter())
+    start = project_sphere_plus(x0)
+    try:
+        x, lam = rule.start(start)
+    except _DOMAIN_ERRORS:
+        lam = _safe_lambda(A, B, start)
+        run.record(0, lam, float("nan"), float("nan"), 0.0, 0.0, 0.0, start)
+        return run.finish(lam, start, Status.DOMAIN_ERROR, 0)
+
+    x_prev = lam_prev = None
+    k = 0
+    while True:
+        (merit_value, grad_norm, beta, shift), status = rule.measure(x, lam)
+        stalled = x_prev is not None and (
+            abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
+        )
+        if status is None and (stalled or rule.stationary(x, k)):
+            status = Status.CONVERGED
+        if status is None and k >= cfg.max_iters:
+            status = Status.MAX_ITERS
+        step = 0.0
+        if status is None:
+            x_new, lam_new, step, status = rule.step(x, lam)
+        run.record(k, lam, merit_value, grad_norm, step, beta, shift, x)
+        if status is not None:
+            return run.finish(lam, x, status, k)
+        x_prev, lam_prev, x, lam = x, lam, x_new, lam_new
+        k += 1
+
+
 def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:
     """Spectral projected gradient with a straight-line backtracking search.
 
@@ -394,75 +566,7 @@ def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
     below tol, or when the step, the eigenvalue change, or the gradient norm
     does.
     """
-    cfg = cfg or SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
-    _check_problem(A, B, x0)
-    t0 = time.perf_counter()
-    run = _Run(A, B, cfg, t0)
-    backtrack = cfg.backtrack or Backtrack.QUADRATIC_INTERPOLATION
-
-    x = project_sphere_plus(x0)
-    try:
-        ev = evaluate(A, B, x, cfg.merit)
-    except _DOMAIN_ERRORS:
-        run.record(0, _safe_lambda(A, B, x), float("nan"), float("nan"), 0.0, 0.0, 0.0, x)
-        return run.finish(_safe_lambda(A, B, x), x, Status.DOMAIN_ERROR, 0)
-    val, g, lam = ev.value, ev.gradient, ev.lam
-    gnorm = float(np.linalg.norm(g))
-    beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
-
-    k = 0
-    while True:
-        z = project_sphere_plus(x + beta * g)
-        d = z - x
-        if float(np.linalg.norm(d)) < cfg.tol:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
-        if k >= cfg.max_iters:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.MAX_ITERS, k)
-
-        slope = float(g @ d)
-        alpha = 1.0
-        accepted = False
-        for _ in range(LINE_SEARCH_MAX_TRIALS):
-            try:
-                f_trial = _trial_value(A, B, x + alpha * d, cfg.merit)
-            except _DOMAIN_ERRORS:
-                run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-                return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-            if f_trial >= val + cfg.rho * alpha * slope:
-                accepted = True
-                break
-            alpha = _shrink(alpha, val, f_trial, slope, backtrack)
-        if not accepted:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.LINE_SEARCH_FAILURE, k)
-
-        x_new = x + alpha * d
-        x_new = x_new / np.linalg.norm(x_new)
-        try:
-            ev_new = evaluate(A, B, x_new, cfg.merit)
-        except _DOMAIN_ERRORS:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-        run.record(k, lam, val, gnorm, alpha, beta, 0.0, x)
-
-        gnorm_new = float(np.linalg.norm(ev_new.gradient))
-        lo, hi = _bb_bounds(cfg, gnorm_new, literal_default=False)
-        # Maximizing f is minimizing -f, whose gradient difference is
-        # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
-        beta = _bb_clamped(x_new - x, g - ev_new.gradient, lo, hi)
-        done = (
-            float(np.linalg.norm(x_new - x)) <= cfg.tol
-            or abs(ev_new.lam - lam) <= cfg.tol
-            or gnorm_new <= cfg.tol
-        )
-        x, val, g, lam, gnorm = x_new, ev_new.value, ev_new.gradient, ev_new.lam, gnorm_new
-        k += 1
-        if done:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
+    return _drive(A, B, x0, cfg, _SpgRule, curvilinear=False)
 
 
 def spg2(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -474,72 +578,7 @@ def spg2(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
     projected-gradient displacement P(x_k + beta_k g_k) - x_k drops below
     tol, or on the same step / eigenvalue / gradient tests as spg1.
     """
-    cfg = cfg or SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
-    _check_problem(A, B, x0)
-    t0 = time.perf_counter()
-    run = _Run(A, B, cfg, t0)
-    backtrack = cfg.backtrack or Backtrack.QUADRATIC_INTERPOLATION
-
-    x = project_sphere_plus(x0)
-    try:
-        ev = evaluate(A, B, x, cfg.merit)
-    except _DOMAIN_ERRORS:
-        run.record(0, _safe_lambda(A, B, x), float("nan"), float("nan"), 0.0, 0.0, 0.0, x)
-        return run.finish(_safe_lambda(A, B, x), x, Status.DOMAIN_ERROR, 0)
-    val, g, lam = ev.value, ev.gradient, ev.lam
-    gnorm = float(np.linalg.norm(g))
-    beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
-
-    k = 0
-    while True:
-        step_move = project_sphere_plus(x + beta * g) - x
-        if float(np.linalg.norm(step_move)) < cfg.tol:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
-        if k >= cfg.max_iters:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.MAX_ITERS, k)
-
-        alpha = beta
-        accepted = False
-        for _ in range(LINE_SEARCH_MAX_TRIALS):
-            x_plus = project_sphere_plus(x + alpha * g)
-            try:
-                f_trial = _trial_value(A, B, x_plus, cfg.merit)
-            except _DOMAIN_ERRORS:
-                run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-                return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-            chord = float(g @ (x_plus - x))
-            if f_trial >= val + cfg.rho * alpha * chord:
-                accepted = True
-                break
-            alpha = _shrink(alpha, val, f_trial, chord / alpha, backtrack)
-        if not accepted:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.LINE_SEARCH_FAILURE, k)
-
-        x_new = x_plus
-        try:
-            ev_new = evaluate(A, B, x_new, cfg.merit)
-        except _DOMAIN_ERRORS:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-        run.record(k, lam, val, gnorm, alpha, beta, 0.0, x)
-
-        gnorm_new = float(np.linalg.norm(ev_new.gradient))
-        lo, hi = _bb_bounds(cfg, gnorm_new, literal_default=True)
-        beta = _bb_clamped(x_new - x, g - ev_new.gradient, lo, hi)
-        done = (
-            float(np.linalg.norm(x_new - x)) <= cfg.tol
-            or abs(ev_new.lam - lam) <= cfg.tol
-            or gnorm_new <= cfg.tol
-        )
-        x, val, g, lam, gnorm = x_new, ev_new.value, ev_new.gradient, ev_new.lam, gnorm_new
-        k += 1
-        if done:
-            run.record(k, lam, val, gnorm, 0.0, beta, 0.0, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
+    return _drive(A, B, x0, cfg, _SpgRule, curvilinear=True)
 
 
 def spp(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -551,47 +590,7 @@ def spp(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = Non
     eigenvalue change drops below tol; an exactly-zero thresholded direction
     is reported as a domain error rather than silently perturbed.
     """
-    cfg = cfg or SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
-    _check_problem(A, B, x0)
-    t0 = time.perf_counter()
-    run = _Run(A, B, cfg, t0)
-    m = A.order
-
-    x = project_sphere_plus(x0)
-    try:
-        lam = rayleigh_value(A, B, x)
-    except SingularDenominatorError:
-        run.record(0, float("nan"), float("nan"), float("nan"), 0.0, 0.0, 0.0, x)
-        return run.finish(float("nan"), x, Status.DOMAIN_ERROR, 0)
-
-    x_prev = None
-    lam_prev = None
-    k = 0
-    while True:
-        g = rayleigh_gradient(A, B, x)
-        shift = convexity_shift(rayleigh_hessian(A, B, x), cfg.tau, m)
-        ascent = project_orthant(g + shift * m * x)
-        ascent_norm = float(np.linalg.norm(ascent))
-        gnorm = float(np.linalg.norm(g))
-        if ascent_norm == 0.0:
-            run.record(k, lam, lam, gnorm, 0.0, 0.0, shift, x)
-            return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-        done = ascent_norm <= cfg.tol or (
-            lam_prev is not None
-            and (abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol)
-        )
-        if done:
-            run.record(k, lam, lam, gnorm, 0.0, 0.0, shift, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
-        if k >= cfg.max_iters:
-            run.record(k, lam, lam, gnorm, 0.0, 0.0, shift, x)
-            return run.finish(lam, x, Status.MAX_ITERS, k)
-        run.record(k, lam, lam, gnorm, 0.0, 0.0, shift, x)
-        x_prev, lam_prev = x, lam
-        x = ascent / ascent_norm
-        lam = rayleigh_value(A, B, x)
-        k += 1
+    return _drive(A, B, x0, cfg, _PowerRule, scaled=False, shifted=True)
 
 
 def spa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -603,44 +602,7 @@ def spa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = Non
     (slow final tail).  Stops when ||g_k||, the step, or the eigenvalue
     change drops below tol.
     """
-    cfg = cfg or SolverConfig()
-    u0 = np.asarray(u0, dtype=float)
-    _check_problem(A, B, u0)
-    t0 = time.perf_counter()
-    run = _Run(A, B, cfg, t0)
-
-    start = project_sphere_plus(u0)
-    try:
-        x = b_normalize(start, B)
-    except ScalingError:
-        run.record(0, _safe_lambda(A, B, start), float("nan"), float("nan"), 0.0, 0.0, 0.0, start)
-        return run.finish(_safe_lambda(A, B, start), start, Status.DOMAIN_ERROR, 0)
-
-    x_prev = None
-    lam_prev = None
-    k = 0
-    while True:
-        lam = rayleigh_value(A, B, x)
-        g = A.contract_m_minus_1(x) - lam * B.contract_m_minus_1(x)
-        gnorm = float(np.linalg.norm(g))
-        done = gnorm <= cfg.tol or (
-            lam_prev is not None
-            and (abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol)
-        )
-        if done:
-            run.record(k, lam, lam, gnorm, 0.0, 0.0, 0.0, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
-        if k >= cfg.max_iters:
-            run.record(k, lam, lam, gnorm, 0.0, 0.0, 0.0, x)
-            return run.finish(lam, x, Status.MAX_ITERS, k)
-        run.record(k, lam, lam, gnorm, gnorm, 0.0, 0.0, x)
-        u = project_sphere_plus(x + gnorm * g)
-        x_prev, lam_prev = x, lam
-        try:
-            x = b_normalize(u, B)
-        except ScalingError:
-            return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-        k += 1
+    return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=False)
 
 
 def sspa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -651,52 +613,7 @@ def sspa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = No
     bounded away from zero near solutions.  Stops once the eigenvalue
     change between consecutive iterates is within tol.
     """
-    cfg = cfg or SolverConfig()
-    u0 = np.asarray(u0, dtype=float)
-    _check_problem(A, B, u0)
-    t0 = time.perf_counter()
-    run = _Run(A, B, cfg, t0)
-    m = A.order
-
-    start = project_sphere_plus(u0)
-    try:
-        x = b_normalize(start, B)
-        lam = rayleigh_value(A, B, x)
-    except _DOMAIN_ERRORS:
-        run.record(0, _safe_lambda(A, B, start), float("nan"), float("nan"), 0.0, 0.0, 0.0, start)
-        return run.finish(_safe_lambda(A, B, start), start, Status.DOMAIN_ERROR, 0)
-
-    x_prev = None
-    lam_prev = None
-    k = 0
-    while True:
-        y = A.contract_m_minus_1(x) - lam * B.contract_m_minus_1(x)
-        # The step field is y, not the full Rayleigh gradient m y / B x^m, so
-        # the curvature matrix for the shift is its Jacobian, which at the
-        # B x^m = 1 scale equals the Rayleigh Hessian divided by m.
-        shift = convexity_shift(rayleigh_hessian(A, B, x) / m, cfg.tau, m)
-        ascent = y + shift * m * x
-        step = float(np.linalg.norm(ascent))
-        ynorm = float(np.linalg.norm(y))
-        done = ynorm <= cfg.tol or (
-            lam_prev is not None
-            and (abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol)
-        )
-        if done:
-            run.record(k, lam, lam, ynorm, 0.0, 0.0, shift, x)
-            return run.finish(lam, x, Status.CONVERGED, k)
-        if k >= cfg.max_iters:
-            run.record(k, lam, lam, ynorm, 0.0, 0.0, shift, x)
-            return run.finish(lam, x, Status.MAX_ITERS, k)
-        run.record(k, lam, lam, ynorm, step, 0.0, shift, x)
-        u = project_sphere_plus(x + step * ascent)
-        x_prev, lam_prev = x, lam
-        try:
-            x = b_normalize(u, B)
-        except ScalingError:
-            return run.finish(lam, x, Status.DOMAIN_ERROR, k)
-        lam = rayleigh_value(A, B, x)
-        k += 1
+    return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=True)
 
 
 SOLVERS = {"spg1": spg1, "spg2": spg2, "spp": spp, "spa": spa, "sspa": sspa}

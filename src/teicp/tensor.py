@@ -25,9 +25,6 @@ __all__ = [
     "DenseSymmetricTensor",
     "HIdentity",
     "ZIdentity",
-    "contract_m",
-    "contract_m_minus_1",
-    "contract_m_minus_2",
     "symmetrize",
     "principal_subtensor",
     "diagonal_tensor",
@@ -210,21 +207,6 @@ class ZIdentity(TensorOperator):
         lead = sq ** ((m - 2) // 2)
         cross = (m - 2) * (1.0 if m == 4 else sq ** ((m - 4) // 2))
         return (lead * np.eye(self.dim) + cross * np.outer(x, x)) / (m - 1)
-
-
-def contract_m(operator: TensorOperator, x) -> float:
-    """Scalar contraction T x^m."""
-    return operator.contract_m(x)
-
-
-def contract_m_minus_1(operator: TensorOperator, x) -> np.ndarray:
-    """Vector contraction T x^{m-1}."""
-    return operator.contract_m_minus_1(x)
-
-
-def contract_m_minus_2(operator: TensorOperator, x) -> np.ndarray:
-    """Matrix contraction T x^{m-2}."""
-    return operator.contract_m_minus_2(x)
 
 
 def symmetrize(raw) -> DenseSymmetricTensor:

@@ -186,6 +186,12 @@ def test_exit_code_solver_error():
     assert code == 1
 
 
+def test_log_merit_rejected_by_power_solvers(capsys):
+    code = main(["solve", "--problem", "ex1", "--solver", "spp", "--x0", "1,1,1", "--merit", "log"])
+    assert code == EXIT_USAGE
+    assert "spg1 and spg2" in capsys.readouterr().err
+
+
 def test_merit_flag_round_trip():
     code = main([
         "solve", "--problem", "rand:n=3,m=4,seed=1", "--solver", "spg1",

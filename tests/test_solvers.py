@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +265,13 @@ def test_log_merit_domain_error(ex1):
     assert len(rep.trace) == rep.iters + 1
 
 
+@pytest.mark.parametrize("name", ["spp", "spa", "sspa"])
+def test_power_solvers_reject_log_merit(name, ex1):
+    A, B = ex1
+    with pytest.raises(ValueError, match="spg1 and spg2 only"):
+        SOLVERS[name](A, B, np.ones(3), SolverConfig(merit=MeritKind.LOGARITHMIC))
+
+
 def test_spa_domain_error_on_nonpositive_scale():
     A = HIdentity(4, 2)
     B = diagonal_tensor([1.0, -1.0], 4)
@@ -359,3 +369,73 @@ def test_backtrack_halving_config(ex1):
 def test_shift_zero_when_hessian_convex():
     # positive-definite curvature above tau leaves the power step unshifted
     assert convexity_shift(np.diag([0.06, 0.9]), 0.05, 4) == 0.0
+
+
+# --- golden reports ----------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_solver_reports.json")
+_SPG = ("spg1", "spg2")
+_GOLDEN_CONFIGS = {
+    "rayleigh": ({}, tuple(SOLVERS)),
+    "log": ({"merit": MeritKind.LOGARITHMIC}, _SPG),
+    "halving": ({"backtrack": Backtrack.HALVING}, _SPG),
+    "literal": ({"paper_literal_safeguards": True}, _SPG),
+    "fixed-bounds": ({"paper_literal_safeguards": False}, _SPG),
+    "max_iters=3": ({"max_iters": 3}, tuple(SOLVERS)),
+}
+
+
+def _golden_problems():
+    for problem, starts in _gate_cases():
+        yield problem, build(parse_problem(problem)), starts
+    # B x^m = 1 - 1 = 0 at [1, 1], and B x^m = -1 < 0 at [0, 1]
+    indefinite = (HIdentity(4, 2), diagonal_tensor([1.0, -1.0], 4))
+    yield "H(4,2)/diag(1,-1)", indefinite, [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+    vertices = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+    yield "ex1 vertices", build(parse_problem("ex1")), vertices
+    diag5 = (diagonal_tensor([(i - 1.0) / i for i in range(1, 6)], 4), ZIdentity(4, 5))
+    # Near e1, ||g|| < tol at k = 0 while the projected step is not small.
+    yield "diag5", diag5, [np.ones(5), np.eye(5)[0], np.eye(5)[4], np.eye(5)[0] + 1e-3]
+
+
+def golden_reports() -> dict:
+    """Status, iterations, lambda and a digest of every other report bit, per case."""
+    out = {}
+    for problem, (A, B), starts in _golden_problems():
+        for i, x0 in enumerate(starts):
+            for config, (fields, names) in _GOLDEN_CONFIGS.items():
+                cfg = SolverConfig(keep_iterates=True, **fields)
+                for name in names:
+                    rep = SOLVERS[name](A, B, x0, cfg)
+                    status, iters, lam, x, res, trace, iterates = _fingerprint(rep)
+                    digest = hashlib.sha256()
+                    for part in (x, res, *trace, *iterates):
+                        digest.update(part)
+                    out[f"{problem} x0#{i} {name} {config}"] = {
+                        "status": status.value,
+                        "iters": iters,
+                        "lam": lam,
+                        "sha256": digest.hexdigest(),
+                    }
+    return out
+
+
+def test_golden_reports():
+    """Every solver report matches the recorded one bit for bit.
+
+    The records in ``golden_solver_reports.json`` were made at commit
+    f3d61ef (five separate solver loops) with numpy 2.4.6; regenerate them
+    with ``python tests/test_solvers.py`` only when a change of results is
+    intended and explained.
+    """
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    got = golden_reports()
+    assert sorted(got) == sorted(want)
+    for case in want:
+        assert got[case] == want[case], case
+    statuses = {v["status"] for v in want.values()}
+    assert statuses == {s.value for s in Status}
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(golden_reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -13,9 +13,6 @@ from teicp.tensor import (
     DenseSymmetricTensor,
     HIdentity,
     ZIdentity,
-    contract_m,
-    contract_m_minus_1,
-    contract_m_minus_2,
     diagonal_tensor,
     load_tensor_json,
     principal_subtensor,
@@ -231,14 +228,6 @@ def test_json_bad_index_rejected():
     doc = {"order": 2, "dim": 2, "entries": [{"idx": [1, 5], "val": 3.0}]}
     with pytest.raises(ValueError):
         tensor_from_json(doc)
-
-
-def test_module_level_ops_delegate():
-    T = HIdentity(4, 2)
-    x = np.array([1.0, 2.0])
-    assert contract_m(T, x) == T.contract_m(x)
-    np.testing.assert_array_equal(contract_m_minus_1(T, x), T.contract_m_minus_1(x))
-    np.testing.assert_array_equal(contract_m_minus_2(T, x), T.contract_m_minus_2(x))
 
 
 def test_entries_are_immutable():
