@@ -5,16 +5,18 @@ An order-m dimension-n tensor is stored densely as a numpy array of shape
 conventions: T x^m is a scalar, T x^{m-1} a vector, and T x^{m-2} a
 symmetric matrix, each summing the free indices against copies of x.
 
-A dense tensor computes T x^{m-2} in one pass over its entries and keeps it
-for the last point it was asked about, so the three contractions at the same
-point share that pass: T x^{m-1} = (T x^{m-2}) x and T x^m = x . (T x^{m-1}).
-The matrix ``contract_m_minus_2`` returns is read-only.
+A dense tensor computes T x^{m-2} in one pass over its entries: a single
+matrix-vector product of x^{(x)(m-2)} (the (m-2)-fold outer power of x,
+flattened) against the entries reshaped to (n^{m-2}, n^2).  It keeps the
+result for the last point it was asked about, so the three contractions at
+the same point share that pass: T x^{m-1} = (T x^{m-2}) x and
+T x^m = x . (T x^{m-1}).  The matrix ``contract_m_minus_2`` returns is
+read-only.
 """
 
 from __future__ import annotations
 
 import abc
-import functools
 import json
 from dataclasses import dataclass
 
@@ -79,10 +81,11 @@ class TensorOperator(abc.ABC):
 class DenseSymmetricTensor(TensorOperator):
     """Fully dense order-m dimension-n tensor with symmetric entries.
 
-    Entries are held as a read-only ndarray of shape (n,) * m.  Construction
-    verifies that they are finite and invariant under index permutations
-    unless ``validate=False`` (used internally where symmetry holds by
-    construction).
+    Entries are held as a read-only ndarray of shape (n,) * m, together with
+    a read-only (n^{m-2}, n^2) view of them for the contraction GEMV.
+    Construction verifies that they are finite and invariant under index
+    permutations unless ``validate=False`` (used internally where symmetry
+    holds by construction).
     """
 
     def __init__(self, entries, validate: bool = True):
@@ -95,6 +98,7 @@ class DenseSymmetricTensor(TensorOperator):
         self.entries = arr
         self.order = arr.ndim
         self.dim = arr.shape[0]
+        self._flat = arr.reshape(self.dim ** (self.order - 2), self.dim**2)
         # (x.tobytes(), T x^{m-2}) for the last point; one tuple, so a reader
         # never pairs a new key with an old matrix.
         self._last: tuple[bytes, np.ndarray | None] = (b"", None)
@@ -120,13 +124,30 @@ class DenseSymmetricTensor(TensorOperator):
         return f"DenseSymmetricTensor(order={self.order}, dim={self.dim})"
 
     def _matrix_at(self, x: np.ndarray) -> np.ndarray:
-        """Read-only T x^{m-2}, from one reduce pass unless x is the last point."""
+        """Read-only T x^{m-2}, from one pass unless x is the last point."""
         key = x.tobytes()
         last_key, M = self._last
         if last_key != key:
-            M = functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
-            M.setflags(write=False)
+            M = self._pass(x)
             self._last = (key, M)
+        return M
+
+    def _pass(self, x: np.ndarray) -> np.ndarray:
+        """Read-only T x^{m-2} as one GEMV: x^{(x)(m-2)} against the flat view.
+
+        Columns (j, k) and (k, j) of the view hold the same entries, so
+        mirrored outputs are dot products of w with identical columns, and M
+        is exactly symmetric (tested for m = 4 and 6, n = 2..8).  The merit
+        Hessians rely on that.  Contracting the leading axis one step at a
+        time is as fast but loses the symmetry at n = 3 (mod 4).
+        """
+        if self.order == 2:
+            return self.entries
+        w = x
+        for _ in range(self.order - 3):
+            w = np.multiply.outer(w, x).ravel()
+        M = np.dot(w, self._flat).reshape(self.dim, self.dim)
+        M.setflags(write=False)
         return M
 
     def contract_m(self, x) -> float:

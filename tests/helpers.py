@@ -56,8 +56,9 @@ def dense_contract(entries, x, times):
 class ReduceTensor(DenseSymmetricTensor):
     """Dense tensor that runs a fresh reduce chain for every contraction.
 
-    These are the per-call kernels the shared-pass ``DenseSymmetricTensor``
-    replaced; its results must match them bit for bit.  Subclassing keeps the
+    These are the per-call kernels the one-GEMV ``DenseSymmetricTensor``
+    replaced.  The GEMV sums in another order, so its results are compared
+    with these within a tolerance, not bit for bit.  Subclassing keeps the
     polish step's ``isinstance`` path the same for both.
     """
 

@@ -1,13 +1,10 @@
-import functools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import teicp.solvers
-import teicp.tensor
-from helpers import ReduceTensor, dense_contract
+from helpers import ReduceTensor, dense_contract, rel_err
 from teicp.problems import build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
@@ -195,6 +192,25 @@ def test_dense_contractions_match_direct_sum(rng):
     assert T.contract_m(x) == pytest.approx(dense_contract(T.entries, x, 4), rel=1e-12)
     np.testing.assert_allclose(T.contract_m_minus_1(x), dense_contract(T.entries, x, 3), rtol=1e-12)
     np.testing.assert_allclose(T.contract_m_minus_2(x), dense_contract(T.entries, x, 2), rtol=1e-12)
+    # Every entry of every contraction, for more orders and dimensions, within
+    # 1e-12 of the sum of its terms' magnitudes: an entry that cancels to
+    # near zero has no small relative error in any summation order.
+    for m in (2, 4, 6):
+        for n in (3, 5):
+            T = random_symmetric(n, m, 13 + m + n)
+            x = rng.standard_normal(n)
+            for k, name in ((m, "contract_m"), (m - 1, "contract_m_minus_1"), (m - 2, "contract_m_minus_2")):
+                err = np.abs(np.asarray(getattr(T, name)(x)) - dense_contract(T.entries, x, k))
+                assert np.all(err <= 1e-12 * dense_contract(np.abs(T.entries), np.abs(x), k)), (m, n, name)
+
+
+def test_matrix_contraction_is_exactly_symmetric(rng):
+    for m, dims in ((4, range(2, 9)), (6, range(2, 9))):
+        for n in dims:
+            T = random_symmetric(n, m, 100 + n)
+            for _ in range(10):
+                M = T.contract_m_minus_2(rng.standard_normal(n))
+                assert np.array_equal(M, M.T), (m, n)
 
 
 def test_json_roundtrip_and_symmetrize_flag(tmp_path):
@@ -253,29 +269,32 @@ def test_non_finite_entry_rejected():
             DenseSymmetricTensor(arr)
 
 
-def _assert_matches_reduce(T, ref, x):
-    assert T.contract_m(x).hex() == ref.contract_m(x).hex()
-    assert T.contract_m_minus_1(x).tobytes() == ref.contract_m_minus_1(x).tobytes()
-    assert T.contract_m_minus_2(x).tobytes() == ref.contract_m_minus_2(x).tobytes()
+def _assert_matches_cold(T, x):
+    """T's (possibly cached) contractions equal a cold tensor's bit for bit,
+    and the per-call reduce chains' to rounding."""
+    ref = ReduceTensor(T.entries, validate=False)
+    got = (T.contract_m(x), T.contract_m_minus_1(x), T.contract_m_minus_2(x))
+    for k, name in enumerate(("contract_m", "contract_m_minus_1", "contract_m_minus_2")):
+        cold = DenseSymmetricTensor(T.entries, validate=False)
+        assert np.asarray(got[k]).tobytes() == np.asarray(getattr(cold, name)(x)).tobytes(), name
+        assert rel_err(got[k], getattr(ref, name)(x)) <= 1e-13, name
 
 
 def test_cache_follows_in_place_mutation(rng):
     for m in (2, 4, 6):
         T = random_symmetric(3, m, m)
-        ref = ReduceTensor(T.entries, validate=False)
         x = rng.standard_normal(3)
-        _assert_matches_reduce(T, ref, x)
+        _assert_matches_cold(T, x)
         x[1] += 0.5
-        _assert_matches_reduce(T, ref, x)
+        _assert_matches_cold(T, x)
 
 
 def test_cache_alternating_points(rng):
     T = random_symmetric(4, 4, 21)
-    ref = ReduceTensor(T.entries, validate=False)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     for _ in range(3):
-        _assert_matches_reduce(T, ref, x)
-        _assert_matches_reduce(T, ref, y)
+        _assert_matches_cold(T, x)
+        _assert_matches_cold(T, y)
 
 
 def test_matrix_contraction_is_read_only(rng):
@@ -293,15 +312,17 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
     at_polish = []
     polish = teicp.solvers._polish
 
-    def counting_reduce(*args):
+    one_pass = DenseSymmetricTensor._pass
+
+    def counting_pass(self, x):
         passes.append(1)
-        return functools.reduce(*args)
+        return one_pass(self, x)
 
     def spy_polish(*args):
         at_polish.append(len(passes))
         return polish(*args)
 
-    monkeypatch.setattr(teicp.tensor, "functools", SimpleNamespace(reduce=counting_reduce))
+    monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
     converged = 0
     for solver in (teicp.solvers.spp, teicp.solvers.sspa):
