@@ -17,8 +17,6 @@ from .merit import (
     MeritEval,
     MeritKind,
     SingularDenominatorError,
-    log_gradient,
-    log_hessian,
     log_value,
     rayleigh_gradient,
     rayleigh_hessian,
@@ -28,14 +26,12 @@ from .problems import ProblemSpec, build, parse_problem, random_start, random_sy
 from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
 from .solvers import (
     SOLVERS,
-    Backtrack,
     EigenPair,
     IterationRecord,
     SolverConfig,
     SolverReport,
     Status,
     ascent_direction_check,
-    bb_step,
     convexity_shift,
     min_eig_sym,
     spa,
@@ -58,8 +54,6 @@ from .tensor import (
 from .verify import (
     ResidualTriple,
     diagonal_pareto_spectrum,
-    fd_gradient,
-    fd_jacobian,
     is_pareto_eigenpair,
     residual,
 )

@@ -4,15 +4,18 @@ Two merits over the sphere-orthant feasible set: the generalized Rayleigh
 quotient lambda(x) = A x^m / B x^m, and its logarithm
 f(x) = ln(A x^m) - ln(B x^m), which is only defined where both forms are
 strictly positive (both tensors strictly copositive in practice).  Gradients
-and Hessians are exact closed forms.  Whatever the merit, the eigenvalue
-reported downstream is always the Rayleigh quotient, so runs under either
-merit stay directly comparable.
+and the Rayleigh Hessian are exact closed forms.  Whatever the merit, the
+eigenvalue reported downstream is always the Rayleigh quotient, so runs under
+either merit stay directly comparable.
+
+:func:`evaluate` is the one place that contracts the pair at a point; the
+gradient and Hessian functions are views of its result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,8 +31,6 @@ __all__ = [
     "rayleigh_gradient",
     "rayleigh_hessian",
     "log_value",
-    "log_gradient",
-    "log_hessian",
     "evaluate",
 ]
 
@@ -49,15 +50,32 @@ class MeritDomainError(ValueError):
 
 @dataclass(frozen=True)
 class MeritEval:
-    """Merit value and gradient at a point, plus the Rayleigh quotient.
+    """Everything the solvers read from the pair (A, B) at one point x.
 
     ``lam`` is always A x^m / B x^m regardless of the merit kind; under the
-    Rayleigh merit ``value == lam``.
+    Rayleigh merit ``value == lam``.  ``y`` is the residual
+    A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
+    per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones.
     """
 
     value: float
     gradient: np.ndarray
     lam: float
+    y: np.ndarray
+    _at: tuple = field(repr=False, compare=False)
+
+    def rayleigh_hessian(self) -> np.ndarray:
+        """Exact Hessian of the Rayleigh quotient (symmetric by construction)."""
+        A, B, x, axm, bxm, axm1, bxm1 = self._at
+        m = A.order
+        cross = np.outer(axm1, bxm1)
+        cross = cross + cross.T
+        bb = np.outer(bxm1, bxm1)
+        return (
+            (m * (m - 1) / bxm) * A.contract_m_minus_2(x)
+            - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / bxm**2
+            + (2.0 * m * m * axm / bxm**3) * bb
+        )
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:
@@ -94,28 +112,12 @@ def rayleigh_gradient(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
     By the Euler identity the gradient is orthogonal to x, i.e. it lies in
     the tangent plane of the sphere at x.
     """
-    _pair_check(A, B)
-    bxm = _denominator(B, x)
-    lam = A.contract_m(x) / bxm
-    return (A.order / bxm) * (A.contract_m_minus_1(x) - lam * B.contract_m_minus_1(x))
+    return evaluate(A, B, x).gradient
 
 
 def rayleigh_hessian(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
     """Exact Hessian of the Rayleigh quotient (symmetric by construction)."""
-    _pair_check(A, B)
-    m = A.order
-    bxm = _denominator(B, x)
-    axm = A.contract_m(x)
-    axm1 = A.contract_m_minus_1(x)
-    bxm1 = B.contract_m_minus_1(x)
-    cross = np.outer(axm1, bxm1)
-    cross = cross + cross.T
-    bb = np.outer(bxm1, bxm1)
-    return (
-        (m * (m - 1) / bxm) * A.contract_m_minus_2(x)
-        - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / bxm**2
-        + (2.0 * m * m * axm / bxm**3) * bb
-    )
+    return evaluate(A, B, x).rayleigh_hessian()
 
 
 def log_value(A: TensorOperator, B: TensorOperator, x) -> float:
@@ -127,35 +129,8 @@ def log_value(A: TensorOperator, B: TensorOperator, x) -> float:
     return math.log(axm) - math.log(bxm)
 
 
-def log_gradient(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
-    """Gradient m A x^{m-1} / A x^m - m B x^{m-1} / B x^m."""
-    _pair_check(A, B)
-    axm = A.contract_m(x)
-    bxm = B.contract_m(x)
-    _log_domain(axm, bxm)
-    m = A.order
-    return m * A.contract_m_minus_1(x) / axm - m * B.contract_m_minus_1(x) / bxm
-
-
-def log_hessian(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
-    """Exact Hessian of the logarithmic merit (symmetric by construction)."""
-    _pair_check(A, B)
-    axm = A.contract_m(x)
-    bxm = B.contract_m(x)
-    _log_domain(axm, bxm)
-    m = A.order
-    axm1 = A.contract_m_minus_1(x)
-    bxm1 = B.contract_m_minus_1(x)
-    return (
-        (m * (m - 1) / axm) * A.contract_m_minus_2(x)
-        - (m * (m - 1) / bxm) * B.contract_m_minus_2(x)
-        + (m * m / bxm**2) * np.outer(bxm1, bxm1)
-        - (m * m / axm**2) * np.outer(axm1, axm1)
-    )
-
-
 def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKind.RAYLEIGH) -> MeritEval:
-    """Evaluate the chosen merit and its gradient, sharing contractions."""
+    """Evaluate the chosen merit at x, contracting each operator once per power."""
     _pair_check(A, B)
     axm = A.contract_m(x)
     bxm = _denominator(B, x)
@@ -163,9 +138,10 @@ def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKin
     m = A.order
     axm1 = A.contract_m_minus_1(x)
     bxm1 = B.contract_m_minus_1(x)
+    y = axm1 - lam * bxm1
+    at = (A, B, x, axm, bxm, axm1, bxm1)
     if kind is MeritKind.RAYLEIGH:
-        grad = (m / bxm) * (axm1 - lam * bxm1)
-        return MeritEval(value=lam, gradient=grad, lam=lam)
+        return MeritEval(value=lam, gradient=(m / bxm) * y, lam=lam, y=y, _at=at)
     _log_domain(axm, bxm)
     grad = m * axm1 / axm - m * bxm1 / bxm
-    return MeritEval(value=math.log(axm) - math.log(bxm), gradient=grad, lam=lam)
+    return MeritEval(value=math.log(axm) - math.log(bxm), gradient=grad, lam=lam, y=y, _at=at)

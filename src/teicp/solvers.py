@@ -42,22 +42,22 @@ from .merit import (
     SingularDenominatorError,
     evaluate,
     log_value,
-    rayleigh_gradient,
-    rayleigh_hessian,
     rayleigh_value,
 )
+
+# No solver calls these views of ``evaluate``; bench/tracer.py looks them up
+# here by name, so they stay importable from this module.
+from .merit import rayleigh_gradient, rayleigh_hessian  # noqa: F401
 from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
 from .tensor import DenseSymmetricTensor, HIdentity, TensorOperator, ZIdentity, principal_subtensor
 from .verify import ResidualTriple, residual
 
 __all__ = [
     "Status",
-    "Backtrack",
     "SolverConfig",
     "EigenPair",
     "IterationRecord",
     "SolverReport",
-    "bb_step",
     "min_eig_sym",
     "convexity_shift",
     "ascent_direction_check",
@@ -81,18 +81,11 @@ class Status(Enum):
     DOMAIN_ERROR = "DomainError"
 
 
-class Backtrack(Enum):
-    HALVING = "halving"
-    QUADRATIC_INTERPOLATION = "quadratic"
-
-
 @dataclass
 class SolverConfig:
     """Shared solver parameters.
 
-    ``backtrack`` picks how the SPG line search shrinks a rejected step:
-    safeguarded quadratic interpolation (default) or plain halving.  With
-    ``paper_literal_safeguards`` the BB clamp interval is rebuilt each
+    With ``paper_literal_safeguards`` the BB clamp interval is rebuilt each
     update from the current gradient norm g as [min(g, 1/g), max(g, 1/g)],
     which caps the raw spectral displacement ||beta g|| at max(1, ||g||^2),
     instead of using the fixed [beta_min, beta_max].  ``None`` keeps each
@@ -109,7 +102,6 @@ class SolverConfig:
     merit: MeritKind = MeritKind.RAYLEIGH
     beta_min: float = 1e-10
     beta_max: float = 1e10
-    backtrack: Backtrack = Backtrack.QUADRATIC_INTERPOLATION
     paper_literal_safeguards: bool | None = None
     keep_iterates: bool = False
 
@@ -158,15 +150,8 @@ class SolverReport:
     iterates: list[np.ndarray] | None = None
 
 
-def bb_step(s, y, cfg: SolverConfig) -> float:
-    """Spectral step <s, s> / <s, y> clamped to the configured safeguards.
-
-    A nonpositive curvature <s, y> returns beta_max.
-    """
-    return _bb_clamped(np.asarray(s, float), np.asarray(y, float), cfg.beta_min, cfg.beta_max)
-
-
 def _bb_clamped(s: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Spectral step <s, s> / <s, y> clamped to [lo, hi]; hi if <s, y> <= 0."""
     b = float(s @ y)
     if b <= 0.0:
         return hi
@@ -184,11 +169,13 @@ def _bb_bounds(cfg: SolverConfig, grad_norm: float, literal_default: bool) -> tu
 
 
 def min_eig_sym(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
+    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-8):
+    if not np.isfinite(M).all():
+        raise ValueError("matrix must be finite")
+    if np.abs(M - M.T).max(initial=0.0) > 1e-8:
         raise ValueError("matrix is not symmetric to 1e-8")
     return float(np.linalg.eigvalsh(M)[0])
 
@@ -375,16 +362,14 @@ def _trial_value(A, B, x, kind: MeritKind) -> float:
     return rayleigh_value(A, B, x) if kind is MeritKind.RAYLEIGH else log_value(A, B, x)
 
 
-def _shrink(alpha: float, f0: float, f_trial: float, slope: float, mode: Backtrack) -> float:
-    """Reduce a rejected trial step, by halving or safeguarded interpolation.
+def _shrink(alpha: float, f0: float, f_trial: float, slope: float) -> float:
+    """Reduce a rejected trial step by safeguarded quadratic interpolation.
 
     The quadratic model through f0, the slope at 0, and the trial value has
     its maximizer at alpha^2 * slope / (2 (f0 + alpha slope - f_trial)); when
     that denominator is nonpositive the model is useless and the step is
     halved, otherwise the new step is clamped to [0.1 alpha, 0.9 alpha].
     """
-    if mode is Backtrack.HALVING:
-        return 0.5 * alpha
     denom = 2.0 * (f0 + alpha * slope - f_trial)
     if denom <= 0.0:
         return 0.5 * alpha
@@ -437,7 +422,7 @@ class _SpgRule:
             if f_trial >= val + cfg.rho * alpha * slope:
                 break
             model_slope = slope / alpha if self.curvilinear else slope
-            alpha = _shrink(alpha, val, f_trial, model_slope, cfg.backtrack)
+            alpha = _shrink(alpha, val, f_trial, model_slope)
         else:
             return None, None, 0.0, Status.LINE_SEARCH_FAILURE
         x_new = trial if self.curvilinear else trial / np.linalg.norm(trial)
@@ -460,7 +445,9 @@ class _PowerRule:
     Unscaled (spp): the Rayleigh gradient g plus r m x is thresholded to the
     orthant and renormalized.  Scaled (sspa, and spa with r = 0): iterates sit
     on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
-    by a step length equal to its norm, before rescaling.
+    by a step length equal to its norm, before rescaling.  The rule evaluates
+    the pair once where it makes a point, and the measure reads the gradient,
+    y and the Hessian from that evaluation.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -471,21 +458,22 @@ class _PowerRule:
             )
         self.A, self.B, self.cfg, self.scaled, self.shifted = A, B, cfg, scaled, shifted
 
+    def _evaluate(self, x) -> float:
+        self.ev = evaluate(self.A, self.B, x)
+        return self.ev.lam
+
     def start(self, x):
         if self.scaled:
             x = b_normalize(x, self.B)
-        return x, rayleigh_value(self.A, self.B, x)
+        return x, self._evaluate(x)
 
     def measure(self, x, lam):
-        A, B, m = self.A, self.B, self.A.order
-        if self.scaled:
-            g = A.contract_m_minus_1(x) - lam * B.contract_m_minus_1(x)
-        else:
-            g = rayleigh_gradient(A, B, x)
+        ev, m = self.ev, self.A.order
+        g = ev.y if self.scaled else ev.gradient
         shift = 0.0
         ascent = g
         if self.shifted:
-            H = rayleigh_hessian(A, B, x)
+            H = ev.rayleigh_hessian()
             # The scaled step field is y, not the full Rayleigh gradient
             # m y / B x^m, so the curvature matrix for the shift is its
             # Jacobian, which at the B x^m = 1 scale equals H / m.
@@ -507,13 +495,13 @@ class _PowerRule:
     def step(self, x, lam):
         if not self.scaled:
             x = self.ascent / self.length
-            return x, rayleigh_value(self.A, self.B, x), 0.0, None
+            return x, self._evaluate(x), 0.0, None
         u = project_sphere_plus(x + self.length * self.ascent)
         try:
             x = b_normalize(u, self.B)
         except ScalingError:
             return None, None, self.length, Status.DOMAIN_ERROR
-        return x, rayleigh_value(self.A, self.B, x), self.length, None
+        return x, self._evaluate(x), self.length, None
 
 
 def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverReport:

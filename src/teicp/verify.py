@@ -20,8 +20,6 @@ __all__ = [
     "residual",
     "is_pareto_eigenpair",
     "diagonal_pareto_spectrum",
-    "fd_gradient",
-    "fd_jacobian",
 ]
 
 # Off-support slack violations beyond this are treated as genuine
@@ -127,29 +125,3 @@ def diagonal_pareto_spectrum(diag, order: int, b_kind: str = "z"):
             continue
         results.append((lam, tuple(int(i) for i in idx), x))
     return results
-
-
-def fd_gradient(fn, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient (fn(x + h e_i) - fn(x - h e_i)) / (2h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return grad
-
-
-def fd_jacobian(fn, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a vector field, row i = d fn / d x_i."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        rows.append((np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2.0 * h))
-    return np.vstack(rows)

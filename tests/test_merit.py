@@ -7,6 +7,8 @@ from helpers import (
     check_fd_gradients,
     check_fd_hessians,
     check_tangency,
+    fd_gradient,
+    fd_jacobian,
     rel_err,
     sample_sphere_plus,
 )
@@ -15,8 +17,6 @@ from teicp.merit import (
     MeritKind,
     SingularDenominatorError,
     evaluate,
-    log_gradient,
-    log_hessian,
     log_value,
     rayleigh_gradient,
     rayleigh_hessian,
@@ -24,7 +24,6 @@ from teicp.merit import (
 )
 from teicp.problems import random_symmetric
 from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
-from teicp.verify import fd_gradient, fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +116,7 @@ def test_log_gradient_identities(rng):
     x /= np.linalg.norm(x)
     if rayleigh_value(A, B, x) <= 0:
         A = diagonal_tensor([1.0, 2.0, 3.0], 4)
-    got = log_gradient(A, B, x)
+    got = evaluate(A, B, x, MeritKind.LOGARITHMIC).gradient
     np.testing.assert_allclose(
         got, fd_gradient(lambda v: log_value(A, B, v), x, h=1e-6), rtol=1e-5, atol=1e-7
     )
@@ -126,30 +125,8 @@ def test_log_gradient_identities(rng):
     C = random_symmetric(3, 4, 4)
     y = np.abs(rng.standard_normal(3)) + 0.5
     if C.contract_m(y) > 0:
-        np.testing.assert_allclose(log_gradient(C, C, y), np.zeros(3), atol=1e-12)
-
-
-def test_log_hessian_identities(rng):
-    A = diagonal_tensor([1.0, 2.0, 3.0], 4)
-    B = ZIdentity(4, 3)
-    x = np.abs(rng.standard_normal(3)) + 0.3
-    x /= np.linalg.norm(x)
-    np.testing.assert_allclose(log_hessian(A, A, x), np.zeros((3, 3)), atol=1e-10)
-
-
-def test_log_hessian_matches_fd_batch(rng):
-    from teicp.tensor import symmetrize
-
-    for seed in range(20):
-        n = int(np.random.default_rng(seed).integers(2, 5))
-        A = symmetrize(np.random.default_rng(seed).uniform(0.1, 1.0, size=(n,) * 4))
-        B = ZIdentity(4, n)
-        x = sample_sphere_plus(n, 1, rng)[0] + 0.1
-        x /= np.linalg.norm(x)
-        H = log_hessian(A, B, x)
-        assert np.array_equal(H, H.T)
-        Hfd = fd_jacobian(lambda v: log_gradient(A, B, v), x, h=1e-5)
-        assert rel_err(H, Hfd) <= 1e-4
+        got = evaluate(C, C, y, MeritKind.LOGARITHMIC).gradient
+        np.testing.assert_allclose(got, np.zeros(3), atol=1e-12)
 
 
 def test_singular_denominator():
@@ -205,3 +182,6 @@ def test_evaluate_shares_lambda_between_merits(rng):
     assert ray.value == ray.lam
     assert logm.lam == ray.lam
     assert logm.value == pytest.approx(math.log(ray.lam), rel=1e-12)
+    y = A.contract_m_minus_1(x) - ray.lam * B.contract_m_minus_1(x)
+    assert np.array_equal(ray.y, y) and np.array_equal(logm.y, y)
+    assert np.array_equal(ray.gradient, (4 / B.contract_m(x)) * y)

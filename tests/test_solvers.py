@@ -15,11 +15,10 @@ from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import project_sphere_plus
 from teicp.solvers import (
     SOLVERS,
-    Backtrack,
     SolverConfig,
     Status,
+    _bb_clamped,
     ascent_direction_check,
-    bb_step,
     convexity_shift,
     min_eig_sym,
     spa,
@@ -42,24 +41,20 @@ def diag5():
 
 
 def test_bb_step_unit_quotient():
-    cfg = SolverConfig()
     s = np.array([0.3, -0.2])
-    assert bb_step(s, s, cfg) == 1.0
+    assert _bb_clamped(s, s, 1e-10, 1e10) == 1.0
 
 
 def test_bb_step_nonpositive_curvature_returns_cap():
-    cfg = SolverConfig(beta_max=123.0)
-    assert bb_step(np.array([1.0, 0.0]), np.array([-0.5, 0.0]), cfg) == 123.0
+    assert _bb_clamped(np.array([1.0, 0.0]), np.array([-0.5, 0.0]), 1e-10, 123.0) == 123.0
 
 
 def test_bb_step_hand_value():
-    cfg = SolverConfig(beta_min=1e-10, beta_max=1e10)
-    assert bb_step(np.array([2.0, 0.0]), np.array([1.0, 0.0]), cfg) == 2.0
+    assert _bb_clamped(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 1e-10, 1e10) == 2.0
 
 
 def test_bb_step_clamps():
-    cfg = SolverConfig(beta_min=0.5, beta_max=1.5)
-    assert bb_step(np.array([2.0, 0.0]), np.array([1.0, 0.0]), cfg) == 1.5
+    assert _bb_clamped(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 0.5, 1.5) == 1.5
 
 
 # --- eigen helpers -----------------------------------------------------------
@@ -78,8 +73,19 @@ def test_min_eig_sym_matches_det_bisection(rng):
 
 
 def test_min_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         min_eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # the symmetry test is absolute and inclusive: a gap within 1e-8 passes
+    assert min_eig_sym(np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]])) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_min_eig_sym_rejects_non_finite(bad):
+    for M in ([[bad, 1.0], [1.0, 2.0]], [[1.0, bad], [bad, 2.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            min_eig_sym(np.array(M))
+    with pytest.raises(ValueError, match="finite"):
+        convexity_shift(np.array([[bad, 1.0], [1.0, 2.0]]), 0.05, 4)
 
 
 def test_convexity_shift_formula():
@@ -448,13 +454,6 @@ def test_paper_literal_safeguards_flag(ex1):
     assert lit.pair.lam == pytest.approx(base.pair.lam, abs=1e-6)
 
 
-def test_backtrack_halving_config(ex1):
-    A, B = ex1
-    rep = spg1(A, B, np.ones(3), SolverConfig(backtrack=Backtrack.HALVING))
-    assert rep.status is Status.CONVERGED
-    assert rep.pair.lam == pytest.approx(0.3633, abs=1e-3)
-
-
 def test_shift_zero_when_hessian_convex():
     # positive-definite curvature above tau leaves the power step unshifted
     assert convexity_shift(np.diag([0.06, 0.9]), 0.05, 4) == 0.0
@@ -467,7 +466,6 @@ _SPG = ("spg1", "spg2")
 _GOLDEN_CONFIGS = {
     "rayleigh": ({}, tuple(SOLVERS)),
     "log": ({"merit": MeritKind.LOGARITHMIC}, _SPG),
-    "halving": ({"backtrack": Backtrack.HALVING}, _SPG),
     "literal": ({"paper_literal_safeguards": True}, _SPG),
     "fixed-bounds": ({"paper_literal_safeguards": False}, _SPG),
     "max_iters=3": ({"max_iters": 3}, tuple(SOLVERS)),

@@ -1,10 +1,11 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 import teicp.solvers
-from helpers import ReduceTensor, dense_contract, rel_err
+from helpers import ReduceTensor, dense_contract, fd_jacobian, rel_err
 from teicp.problems import build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
@@ -17,7 +18,6 @@ from teicp.tensor import (
     tensor_from_json,
 )
 from teicp.problems import random_symmetric
-from teicp.verify import fd_jacobian
 
 
 def test_h_identity_scalar():
@@ -307,8 +307,14 @@ def test_matrix_contraction_is_read_only(rng):
 
 @pytest.mark.parametrize("problem", ["rand:n=6,m=4", "rand:n=4,m=6", "ex1", "ex4:n=5"])
 def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
-    """Before the polish, spp and sspa pass over A once per iterate: iters + 1."""
+    """Before the polish, spp and sspa pass over A once per iterate: iters + 1.
+
+    They also call each contraction of A and of B once per iterate, except
+    sspa's B x^m, which b_normalize makes once more to scale each new point.
+    """
     passes = []
+    calls = collections.Counter()
+    operands = {}
     at_polish = []
     polish = teicp.solvers._polish
 
@@ -318,20 +324,42 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
         passes.append(1)
         return one_pass(self, x)
 
+    def counting(name, method):
+        def counted(self, x):
+            calls[operands.get(id(self)), name] += 1
+            return method(self, x)
+
+        return counted
+
     def spy_polish(*args):
-        at_polish.append(len(passes))
+        at_polish.append((len(passes), dict(calls)))
         return polish(*args)
 
+    A, B = build(parse_problem(problem))
+    for cls in {type(A), type(B)}:
+        for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2"):
+            monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
     monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
     converged = 0
     for solver in (teicp.solvers.spp, teicp.solvers.sspa):
         for seed in range(15):
             A, B = build(parse_problem(problem))
+            operands.clear()
+            operands.update({id(A): "A", id(B): "B"})
             passes.clear()
+            calls.clear()
             at_polish.clear()
             rep = solver(A, B, random_start(A.dim, seed))
             if rep.status is teicp.solvers.Status.CONVERGED:
-                assert at_polish == [rep.iters + 1], (solver.__name__, seed)
+                points = rep.iters + 1
+                want = {
+                    (op, name): points
+                    for op in "AB"
+                    for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2")
+                }
+                if solver is teicp.solvers.sspa:
+                    want["B", "contract_m"] = 2 * points
+                assert at_polish == [(points, want)], (solver.__name__, seed)
                 converged += 1
     assert converged == 30

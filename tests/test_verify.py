@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import check_diag_completeness
+from helpers import check_diag_completeness, fd_gradient
 from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
 from teicp.verify import (
     diagonal_pareto_spectrum,
-    fd_gradient,
     is_pareto_eigenpair,
     residual,
 )
