@@ -17,7 +17,7 @@ import numpy as np
 
 from .merit import MeritKind
 from .problems import build, parse_problem, random_start
-from .solvers import SOLVERS, SolverConfig, SolverReport, Status
+from .solvers import SOLVERS, IterationRecord, SolverConfig, SolverReport, Status
 
 __all__ = ["main", "run"]
 
@@ -36,8 +36,16 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` (exit 64) where argparse would exit 2, this CLI's MaxIters code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teicp",
         description="Pareto eigenpair solvers for tensor eigenvalue complementarity problems.",
     )
@@ -63,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--merit", choices=("rayleigh", "log"), default="rayleigh")
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("json", "csv"), default="csv")
-        # default None keeps each solver's own safeguard convention
-        p.add_argument("--paper-literal-safeguards", action="store_true", default=None)
+        p.add_argument("--paper-literal-safeguards", action="store_true")
     return parser
 
 
@@ -106,6 +113,11 @@ def _exit_code(reports) -> int:
     return EXIT_OK
 
 
+def _trace_entry(t: IterationRecord) -> dict:
+    return {"k": t.k, "lambda": t.lam, "merit": t.merit_value, "grad_norm": t.grad_norm,
+            "step": t.step, "beta": t.beta, "shift": t.shift}
+
+
 def _report_dict(name: str, rep: SolverReport) -> dict:
     return {
         "solver": name,
@@ -115,23 +127,17 @@ def _report_dict(name: str, rep: SolverReport) -> dict:
         "iters": rep.iters,
         "residual": {"primal": rep.residual.primal, "dual": rep.residual.dual, "comp": rep.residual.comp},
         "wall_time": rep.wall_time,
-        "trace": [
-            {"k": t.k, "lambda": t.lam, "merit": t.merit_value, "grad_norm": t.grad_norm,
-             "step": t.step, "beta": t.beta, "shift": t.shift}
-            for t in rep.trace
-        ],
+        "trace": [_trace_entry(t) for t in rep.trace],
     }
 
 
-def _trace_rows(results) -> list[dict]:
-    rows = []
-    for name, rep in results:
-        for t in rep.trace:
-            rows.append({
-                "k": t.k, "solver": name, "lambda": t.lam, "merit": t.merit_value,
-                "grad_norm": t.grad_norm, "step": t.step, "beta": t.beta, "shift": t.shift,
-            })
-    return rows
+def _write_reports(path, fmt: str, results) -> None:
+    """Full reports as a JSON document, or the trace rows as CSV."""
+    if fmt == "json":
+        _write_text(path, json.dumps([_report_dict(n, r) for n, r in results], indent=2) + "\n")
+    else:
+        rows = [{"solver": name, **_trace_entry(t)} for name, rep in results for t in rep.trace]
+        _write_csv(path, _TRACE_FIELDS, rows)
 
 
 def _write_csv(path, fields, rows) -> None:
@@ -160,32 +166,29 @@ def _run_single(args):
 
 
 def cmd_solve(args) -> int:
+    """Print the result table; write the reports to --out, or JSON to stdout instead of the table."""
     results = _run_single(args)
-    header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
-    print(header)
-    print("-" * len(header))
-    for name, rep in results:
-        vec = "[" + ", ".join(f"{v:.4f}" for v in rep.pair.x) + "]"
-        print(
-            f"{name:<6} {rep.pair.lam:>12.6f} {vec:<40} {rep.iters:>5} "
-            f"{rep.residual.max_violation():>10.2e} {rep.wall_time:>9.4f}"
-        )
-        if rep.status is not Status.CONVERGED:
-            print(f"       status: {rep.status.value}")
-    if args.out is not None or args.format == "json":
-        if args.format == "json":
-            _write_text(args.out, json.dumps([_report_dict(n, r) for n, r in results], indent=2) + "\n")
-        else:
-            _write_csv(args.out, _TRACE_FIELDS, _trace_rows(results))
+    json_on_stdout = args.out is None and args.format == "json"
+    if not json_on_stdout:
+        header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
+        print(header)
+        print("-" * len(header))
+        for name, rep in results:
+            vec = "[" + ", ".join(f"{v:.4f}" for v in rep.pair.x) + "]"
+            print(
+                f"{name:<6} {rep.pair.lam:>12.6f} {vec:<40} {rep.iters:>5} "
+                f"{rep.residual.max_violation():>10.2e} {rep.wall_time:>9.4f}"
+            )
+            if rep.status is not Status.CONVERGED:
+                print(f"       status: {rep.status.value}")
+    if args.out is not None or json_on_stdout:
+        _write_reports(args.out, args.format, results)
     return _exit_code([r for _, r in results])
 
 
 def cmd_trace(args) -> int:
     results = _run_single(args)
-    if args.format == "json":
-        _write_text(args.out, json.dumps([_report_dict(n, r) for n, r in results], indent=2) + "\n")
-    else:
-        _write_csv(args.out, _TRACE_FIELDS, _trace_rows(results))
+    _write_reports(args.out, args.format, results)
     return _exit_code([r for _, r in results])
 
 
@@ -240,16 +243,12 @@ def cmd_multistart(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     commands = {"solve": cmd_solve, "multistart": cmd_multistart, "trace": cmd_trace}
     try:
+        args = build_parser().parse_args(argv)
         return commands[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # problem parsing and config validation surface as usage errors
+        # UsageError, problem parsing and config validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -49,7 +49,7 @@ from .merit import (
 # here by name, so they stay importable from this module.
 from .merit import rayleigh_gradient, rayleigh_hessian  # noqa: F401
 from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
-from .tensor import DenseSymmetricTensor, HIdentity, TensorOperator, ZIdentity, principal_subtensor
+from .tensor import TensorOperator, principal_subtensor
 from .verify import ResidualTriple, residual
 
 __all__ = [
@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 LINE_SEARCH_MAX_TRIALS = 50
+# Fixed safeguard interval for the Barzilai-Borwein step.
+BETA_MIN = 1e-10
+BETA_MAX = 1e10
 
 _DOMAIN_ERRORS = (MeritDomainError, SingularDenominatorError, ScalingError)
 
@@ -85,13 +88,13 @@ class Status(Enum):
 class SolverConfig:
     """Shared solver parameters.
 
-    With ``paper_literal_safeguards`` the BB clamp interval is rebuilt each
-    update from the current gradient norm g as [min(g, 1/g), max(g, 1/g)],
-    which caps the raw spectral displacement ||beta g|| at max(1, ||g||^2),
-    instead of using the fixed [beta_min, beta_max].  ``None`` keeps each
-    solver's own default: fixed bounds for spg1 (its line search re-controls
-    the step from alpha = 1 anyway), the gradient-scaled band for spg2
-    (whose trial step IS beta, so the band acts as a trust region).
+    By default each SPG variant keeps its own Barzilai-Borwein safeguard:
+    spg1 clamps to the fixed [BETA_MIN, BETA_MAX] = [1e-10, 1e10] (its line
+    search re-controls the step from alpha = 1 anyway), spg2 to the
+    gradient-scaled band [min(g, 1/g), max(g, 1/g)] rebuilt at each update
+    from the gradient norm g (its trial step IS beta, so the band acts as a
+    trust region and caps ||beta g|| at max(1, g^2)).
+    ``paper_literal_safeguards`` gives spg1 the band too.
     ``keep_iterates`` stores a copy of every iterate on the report.
     """
 
@@ -100,9 +103,7 @@ class SolverConfig:
     rho: float = 1e-4
     tau: float = 0.05
     merit: MeritKind = MeritKind.RAYLEIGH
-    beta_min: float = 1e-10
-    beta_max: float = 1e10
-    paper_literal_safeguards: bool | None = None
+    paper_literal_safeguards: bool = False
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -112,8 +113,6 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not 0 < self.beta_min <= self.beta_max:
-            raise ValueError("need 0 < beta_min <= beta_max")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -158,14 +157,12 @@ def _bb_clamped(s: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
     return min(max(float(s @ s) / b, lo), hi)
 
 
-def _bb_bounds(cfg: SolverConfig, grad_norm: float, literal_default: bool) -> tuple[float, float]:
-    literal = cfg.paper_literal_safeguards
-    if literal is None:
-        literal = literal_default
+def _bb_bounds(grad_norm: float, literal: bool) -> tuple[float, float]:
+    """The gradient-scaled band if ``literal`` and g > 0, else the fixed bounds."""
     if literal and grad_norm > 0.0:
         inv = 1.0 / grad_norm
         return min(grad_norm, inv), max(grad_norm, inv)
-    return cfg.beta_min, cfg.beta_max
+    return BETA_MIN, BETA_MAX
 
 
 def min_eig_sym(M) -> float:
@@ -243,12 +240,14 @@ class _Run:
         x_unit = x / np.linalg.norm(x)
         lam = float(lam)
         if status is Status.CONVERGED:
-            lam, x_unit = _polish(self.A, self.B, lam, x_unit)
+            lam, x_unit, res = _polish(self.A, self.B, lam, x_unit)
+        else:
+            res = residual(self.A, self.B, lam, x_unit)
         return SolverReport(
             pair=EigenPair(lam=lam, x=x_unit),
             status=status,
             iters=iters,
-            residual=residual(self.A, self.B, lam, x_unit),
+            residual=res,
             trace=self.trace,
             wall_time=time.perf_counter() - self.t0,
             iterates=self.iterates,
@@ -273,13 +272,14 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     The support is {i : x_i > cut} for each cut in turn, until one face
     reaches ``target``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
     coordinates that are noise around a vertex, and 0 keeps small but
-    genuine coordinates the 1e-4 cut drops.
+    genuine coordinates the 1e-4 cut drops.  Returns ``(lam, x, residual)``
+    for the pair it keeps, so the report reuses that residual triple.
     """
-    best_viol = residual(A, B, lam, x).max_violation()
-    best = (lam, x)
-    if best_viol <= target:
-        return best
+    best = (lam, x, residual(A, B, lam, x))
+    best_viol = best[2].max_violation()
     for cut in _POLISH_SUPPORT_CUTS:
+        if best_viol <= target:
+            break
         support = np.flatnonzero(x > cut)
         if support.size == 0:
             continue
@@ -287,29 +287,23 @@ def _polish(A, B, lam, x, target: float = 1e-10):
         if sub_pair is None:
             continue
         lam_new, x_new = sub_pair
-        viol = residual(A, B, lam_new, x_new).max_violation()
+        res = residual(A, B, lam_new, x_new)
+        viol = res.max_violation()
         if viol < best_viol:
             best_viol = viol
-            best = (lam_new, x_new)
-        if best_viol <= target:
-            break
+            best = (lam_new, x_new, res)
     return best
 
 
 def _newton_face(A, B, lam, x, support):
-    """Newton iteration for the eigensystem restricted to one face."""
+    """Newton iteration for the eigensystem restricted to one face; None if either fails."""
     n = A.dim
     m = A.order
-    full = np.arange(n)
-    if support.size == n:
-        A_s, B_s = A, B
-    else:
-        if not isinstance(A, DenseSymmetricTensor):
-            return None
+    try:
         A_s = principal_subtensor(A, support)
-        B_s = _restrict_operator(B, support)
-        if B_s is None:
-            return None
+        B_s = principal_subtensor(B, support)
+    except TypeError:
+        return None
     z = x[support] / np.linalg.norm(x[support])
     lam_z = float(lam)
     k = support.size
@@ -339,16 +333,6 @@ def _newton_face(A, B, lam, x, support):
     if nrm == 0.0:
         return None
     return lam_z, x_new / nrm
-
-
-def _restrict_operator(B, support):
-    if isinstance(B, ZIdentity):
-        return ZIdentity(B.order, support.size)
-    if isinstance(B, HIdentity):
-        return HIdentity(B.order, support.size)
-    if isinstance(B, DenseSymmetricTensor):
-        return principal_subtensor(B, support)
-    return None
 
 
 def _safe_lambda(A, B, x) -> float:
@@ -431,7 +415,7 @@ class _SpgRule:
         except _DOMAIN_ERRORS:
             return None, None, 0.0, Status.DOMAIN_ERROR
         gnorm = float(np.linalg.norm(ev.gradient))
-        lo, hi = _bb_bounds(cfg, gnorm, literal_default=self.curvilinear)
+        lo, hi = _bb_bounds(gnorm, cfg.paper_literal_safeguards or self.curvilinear)
         # Maximizing f is minimizing -f, whose gradient difference is
         # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
         self.beta = _bb_clamped(x_new - x, g - ev.gradient, lo, hi)

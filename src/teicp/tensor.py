@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,9 @@ class DenseSymmetricTensor(TensorOperator):
 
     Entries are held as a read-only ndarray of shape (n,) * m, together with
     a read-only (n^{m-2}, n^2) view of them for the contraction GEMV.
-    Construction verifies that they are finite and invariant under index
-    permutations unless ``validate=False`` (used internally where symmetry
-    holds by construction).
+    Construction verifies that they are finite, and that they are invariant
+    under index permutations unless ``validate=False`` (used internally where
+    symmetry holds by construction).
     """
 
     def __init__(self, entries, validate: bool = True):
@@ -94,6 +94,8 @@ class DenseSymmetricTensor(TensorOperator):
             raise ValueError("tensor order must be at least 2")
         if arr.shape[0] < 1 or any(s != arr.shape[0] for s in arr.shape):
             raise ValueError(f"entries must be square in every axis, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("entries must be finite")
         arr.setflags(write=False)
         self.entries = arr
         self.order = arr.ndim
@@ -106,8 +108,6 @@ class DenseSymmetricTensor(TensorOperator):
             self._validate_symmetry()
 
     def _validate_symmetry(self) -> None:
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("entries must be finite")
         if self.entries.size <= _EXHAUSTIVE_CHECK_LIMIT:
             flat = self.entries.ravel()
             if not np.array_equal(flat, flat[_class_keys(self.dim, self.order)]):
@@ -253,13 +253,23 @@ def symmetrize(raw) -> DenseSymmetricTensor:
     return DenseSymmetricTensor(out.reshape(arr.shape), validate=False)
 
 
-def principal_subtensor(tensor: DenseSymmetricTensor, indices) -> DenseSymmetricTensor:
-    """Restrict a tensor to the given (0-based) index set, reindexed densely."""
+def principal_subtensor(tensor: TensorOperator, indices) -> TensorOperator:
+    """Restrict an operator to the given (0-based) index set, reindexed densely.
+
+    The full set gives the operator itself, an identity the smaller identity,
+    a dense tensor its sub-tensor; any other operator raises ``TypeError``.
+    """
     idx = sorted({int(i) for i in indices})
     if not idx:
         raise ValueError("index set must be nonempty")
     if idx[0] < 0 or idx[-1] >= tensor.dim:
         raise IndexError(f"index set out of range for dimension {tensor.dim}")
+    if len(idx) == tensor.dim:
+        return tensor
+    if isinstance(tensor, (HIdentity, ZIdentity)):
+        return replace(tensor, dim=len(idx))
+    if not isinstance(tensor, DenseSymmetricTensor):
+        raise TypeError(f"cannot restrict a {type(tensor).__name__} to a principal sub-tensor")
     sub = tensor.entries[np.ix_(*([idx] * tensor.order))]
     return DenseSymmetricTensor(sub, validate=False)
 

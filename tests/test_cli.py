@@ -67,6 +67,42 @@ def test_solve_bad_x0_length():
     assert main(["solve", "--problem", "ex1", "--x0", "1,1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "--problem", "ex1", "--format", "xml"],
+    ["solve", "--problem", "ex1", "--runs", "many"],
+    ["nope", "--problem", "ex1"],
+    [],
+])
+def test_argparse_errors_exit_usage(argv, capsys):
+    # argparse's own exit code 2 would read as "some solver hit the iteration cap"
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage: teicp" in err and "error: " in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--problem" in capsys.readouterr().out
+
+
+def test_solve_json_without_out_prints_only_the_document(capsys, tmp_path):
+    out = tmp_path / "run.json"
+    base = ["solve", "--problem", "ex1", "--solver", "spg1", "--solver", "spp", "--x0", "1,1,1", "--format", "json"]
+    assert main(base) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert main(base + ["--out", str(out)]) == EXIT_OK
+    assert "Alg." in capsys.readouterr().out
+    written = json.loads(out.read_text())
+    for doc in (printed, written):
+        for rep in doc:
+            rep.pop("wall_time")
+    assert printed == written
+
+
 def test_multistart_row_count_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -413,9 +413,9 @@ def test_polish_stays_with_the_endpoint_eigenvalue(monkeypatch):
     polish = teicp.solvers._polish
 
     def spy_polish(A, B, lam, x, *args):
-        lam_new, x_new = polish(A, B, lam, x, *args)
+        lam_new, x_new, res = polish(A, B, lam, x, *args)
         moves.append((abs(lam_new - lam), float(np.linalg.norm(x_new - x)), lam_new))
-        return lam_new, x_new
+        return lam_new, x_new, res
 
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
     for problem in ("ex1", "ex2:n=5", "ex3", "ex4:n=5", "ex5:n=5", "ex6:n=5"):
@@ -435,13 +435,58 @@ def test_polish_stays_with_the_endpoint_eigenvalue(monkeypatch):
             assert max(dx for _, dx, _ in moves) > 0.15
 
 
+def test_report_residual_is_computed_once_per_pair(monkeypatch):
+    """A report evaluates the residual once for each pair it considers.
+
+    That is the endpoint, plus each face candidate Newton returns when the
+    run converged; the polish hands the kept pair's triple to the report.
+    """
+    calls = []
+    candidates = []
+    residual = teicp.solvers.residual
+    newton_face = teicp.solvers._newton_face
+
+    def counting_residual(*args):
+        calls.append(1)
+        return residual(*args)
+
+    def counting_newton_face(*args):
+        pair = newton_face(*args)
+        candidates.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(teicp.solvers, "residual", counting_residual)
+    monkeypatch.setattr(teicp.solvers, "_newton_face", counting_newton_face)
+    statuses = set()
+    polished = 0
+    # B x^m = 0 at [1, 1] makes the domain errors
+    cases = [((HIdentity(4, 2), diagonal_tensor([1.0, -1.0], 4)), np.array([1.0, 1.0]))]
+    for problem in ("ex1", "ex2:n=5", "ex3", "ex4:n=5"):
+        A, B = build(parse_problem(problem))
+        cases += [((A, B), random_start(A.dim, 20240 + r)) for r in range(6)]
+    for (A, B), x0 in cases:
+        for max_iters in (3, 500):
+            for name, solver in SOLVERS.items():
+                calls.clear()
+                candidates.clear()
+                rep = solver(A, B, x0, SolverConfig(max_iters=max_iters))
+                statuses.add(rep.status)
+                want = 1
+                if rep.status is Status.CONVERGED:
+                    want += sum(candidates)
+                    polished += sum(candidates)
+                else:
+                    assert not candidates, (name, rep.status)
+                assert len(calls) == want, (name, rep.status)
+    assert statuses == set(Status)
+    assert polished > 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(rho=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(beta_min=1.0, beta_max=0.5)
     with pytest.raises(ValueError):
         SolverConfig(tau=-1.0)
 
@@ -467,7 +512,6 @@ _GOLDEN_CONFIGS = {
     "rayleigh": ({}, tuple(SOLVERS)),
     "log": ({"merit": MeritKind.LOGARITHMIC}, _SPG),
     "literal": ({"paper_literal_safeguards": True}, _SPG),
-    "fixed-bounds": ({"paper_literal_safeguards": False}, _SPG),
     "max_iters=3": ({"max_iters": 3}, tuple(SOLVERS)),
 }
 
@@ -512,9 +556,11 @@ def test_golden_reports():
 
     The records in ``golden_solver_reports.json`` were made at the commit
     after 431a0e8 (the one-GEMV tensor pass and four polish support cuts)
-    with numpy 2.4.6; regenerate them
-    with ``python tests/test_solvers.py`` only when a change of results is
-    intended and explained.
+    with numpy 2.4.6.  The ``fixed-bounds`` config (spg1 and spg2 with the
+    fixed BB bounds) was later deleted with the setting that selected it,
+    and its entries with it; no other entry was re-recorded.  Regenerate
+    them with ``python tests/test_solvers.py`` only when a change of results
+    is intended and explained.
     """
     want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     got = golden_reports()

@@ -10,6 +10,7 @@ from teicp.problems import build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
     HIdentity,
+    TensorOperator,
     ZIdentity,
     diagonal_tensor,
     load_tensor_json,
@@ -151,6 +152,38 @@ def test_principal_subtensor_errors():
         principal_subtensor(T, [0, 3])
 
 
+def test_principal_subtensor_of_other_operators():
+    for identity in (HIdentity(4, 5), ZIdentity(4, 5)):
+        assert principal_subtensor(identity, range(5)) is identity
+        assert principal_subtensor(identity, [1, 3]) == type(identity)(4, 2)
+    T = random_symmetric(3, 4, 1)
+    R = ReduceTensor(T.entries, validate=False)
+    assert principal_subtensor(R, [2, 0, 1]) is R
+    assert type(principal_subtensor(R, [0, 2])) is DenseSymmetricTensor
+    with pytest.raises(IndexError):
+        principal_subtensor(HIdentity(4, 3), [3])
+
+    class Opaque(TensorOperator):
+        order, dim = 4, 3
+
+        def contract_m(self, x):
+            return 0.0
+
+        def contract_m_minus_1(self, x):
+            return np.zeros(3)
+
+        def contract_m_minus_2(self, x):
+            return np.zeros((3, 3))
+
+    opaque = Opaque()
+    assert principal_subtensor(opaque, range(3)) is opaque
+    with pytest.raises(TypeError, match="Opaque"):
+        principal_subtensor(opaque, [0, 1])
+    # the polish skips a face it cannot form
+    x = np.array([0.6, 0.8, 0.0])
+    assert teicp.solvers._newton_face(T, opaque, 0.5, x, np.array([0, 1])) is None
+
+
 def test_euler_and_matrix_consistency(rng):
     ops = [random_symmetric(3, 4, 5), HIdentity(4, 3), ZIdentity(4, 3), random_symmetric(4, 6, 6)]
     for T in ops:
@@ -214,6 +247,7 @@ def test_matrix_contraction_is_exactly_symmetric(rng):
 
 
 def test_json_roundtrip_and_symmetrize_flag(tmp_path):
+    # the README's example document
     doc = {
         "order": 4,
         "dim": 3,
@@ -224,6 +258,10 @@ def test_json_roundtrip_and_symmetrize_flag(tmp_path):
     path.write_text(json.dumps(doc))
     T = load_tensor_json(path)
     assert T.entries[0, 1, 1, 1] == 0.00401 / 4
+    raw = np.zeros((3,) * 4)
+    raw[0, 1, 1, 1] = 0.00401
+    assert np.array_equal(T.entries, symmetrize(raw).entries)
+    assert np.array_equal(tensor_from_json(doc).entries, T.entries)
 
     sym_doc = {
         "order": 2,
@@ -235,15 +273,19 @@ def test_json_roundtrip_and_symmetrize_flag(tmp_path):
 
 
 def test_json_asymmetric_without_flag_rejected():
-    doc = {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 3.0}]}
-    with pytest.raises(ValueError):
-        tensor_from_json(doc)
+    for doc in (
+        {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 3.0}]},
+        {"order": 4, "dim": 3, "entries": [{"idx": [1, 2, 2, 2], "val": 0.00401}]},
+    ):
+        with pytest.raises(ValueError, match="invariant under index permutations"):
+            tensor_from_json(doc)
 
 
 def test_json_bad_index_rejected():
-    doc = {"order": 2, "dim": 2, "entries": [{"idx": [1, 5], "val": 3.0}]}
-    with pytest.raises(ValueError):
-        tensor_from_json(doc)
+    for idx in ([1, 5], [1, 3], [0, 1], [1], [1, 1, 1]):
+        doc = {"order": 2, "dim": 2, "entries": [{"idx": idx, "val": 3.0}]}
+        with pytest.raises(ValueError, match="bad index"):
+            tensor_from_json(doc)
 
 
 def test_entries_are_immutable():
@@ -262,11 +304,22 @@ def test_large_tensor_uses_sampled_validation():
 
 def test_non_finite_entry_rejected():
     T = random_symmetric(2, 4, 0)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         arr = np.array(T.entries)
         arr[0, 0, 0, 0] = bad
-        with pytest.raises(ValueError, match="entries must be finite"):
-            DenseSymmetricTensor(arr)
+        raw = np.array(T.entries)
+        raw[0, 1, 1, 1] = bad
+        doc = {"order": 4, "dim": 2, "entries": [{"idx": [1, 2, 2, 2], "val": bad}], "symmetrize": True}
+        for make in (
+            lambda: DenseSymmetricTensor(arr),
+            lambda: DenseSymmetricTensor(arr, validate=False),
+            lambda: symmetrize(arr),
+            lambda: symmetrize(raw),
+            lambda: diagonal_tensor([1.0, bad], 4),
+            lambda: tensor_from_json(doc),
+        ):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                make()
 
 
 def _assert_matches_cold(T, x):
