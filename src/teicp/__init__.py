@@ -47,7 +47,6 @@ from .tensor import (
     ZIdentity,
     diagonal_tensor,
     load_tensor_json,
-    principal_subtensor,
     symmetrize,
     tensor_from_json,
 )

@@ -131,21 +131,24 @@ def _report_dict(name: str, rep: SolverReport) -> dict:
     }
 
 
-def _write_reports(path, fmt: str, results) -> None:
+def _reports_text(fmt: str, results) -> str:
     """Full reports as a JSON document, or the trace rows as CSV."""
     if fmt == "json":
-        _write_text(path, json.dumps([_report_dict(n, r) for n, r in results], indent=2) + "\n")
-    else:
-        rows = [{"solver": name, **_trace_entry(t)} for name, rep in results for t in rep.trace]
-        _write_csv(path, _TRACE_FIELDS, rows)
+        return _json_text([_report_dict(n, r) for n, r in results])
+    rows = [{"solver": name, **_trace_entry(t)} for name, rep in results for t in rep.trace]
+    return _csv_text(_TRACE_FIELDS, rows)
 
 
-def _write_csv(path, fields, rows) -> None:
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(fields, rows) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _write_text(path, text: str) -> None:
@@ -154,6 +157,20 @@ def _write_text(path, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit(args, summary: list[str], document) -> None:
+    """Output rule of solve and multistart; ``document()`` returns the document's text.
+
+    ``--format json`` without ``--out`` prints the document alone.  Otherwise
+    the summary is printed, and the document goes to ``--out`` when given.
+    """
+    if args.out is None and args.format == "json":
+        sys.stdout.write(document())
+        return
+    print("\n".join(summary))
+    if args.out is not None:
+        _write_text(args.out, document())
 
 
 def _run_single(args):
@@ -166,29 +183,25 @@ def _run_single(args):
 
 
 def cmd_solve(args) -> int:
-    """Print the result table; write the reports to --out, or JSON to stdout instead of the table."""
+    """Print the result table and write the reports to --out, or print the JSON document alone."""
     results = _run_single(args)
-    json_on_stdout = args.out is None and args.format == "json"
-    if not json_on_stdout:
-        header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
-        print(header)
-        print("-" * len(header))
-        for name, rep in results:
-            vec = "[" + ", ".join(f"{v:.4f}" for v in rep.pair.x) + "]"
-            print(
-                f"{name:<6} {rep.pair.lam:>12.6f} {vec:<40} {rep.iters:>5} "
-                f"{rep.residual.max_violation():>10.2e} {rep.wall_time:>9.4f}"
-            )
-            if rep.status is not Status.CONVERGED:
-                print(f"       status: {rep.status.value}")
-    if args.out is not None or json_on_stdout:
-        _write_reports(args.out, args.format, results)
+    header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
+    table = [header, "-" * len(header)]
+    for name, rep in results:
+        vec = "[" + ", ".join(f"{v:.4f}" for v in rep.pair.x) + "]"
+        table.append(
+            f"{name:<6} {rep.pair.lam:>12.6f} {vec:<40} {rep.iters:>5} "
+            f"{rep.residual.max_violation():>10.2e} {rep.wall_time:>9.4f}"
+        )
+        if rep.status is not Status.CONVERGED:
+            table.append(f"       status: {rep.status.value}")
+    _emit(args, table, lambda: _reports_text(args.format, results))
     return _exit_code([r for _, r in results])
 
 
 def cmd_trace(args) -> int:
     results = _run_single(args)
-    _write_reports(args.out, args.format, results)
+    _write_text(args.out, _reports_text(args.format, results))
     return _exit_code([r for _, r in results])
 
 
@@ -218,7 +231,7 @@ def cmd_multistart(args) -> int:
                 "status": rep.status.value, "time": rep.wall_time,
             })
 
-    print(f"problem {args.problem}: {args.runs} starts, seed {args.seed}")
+    summary = [f"problem {args.problem}: {args.runs} starts, seed {args.seed}"]
     for name in names:
         mine = [row for row in rows if row["solver"] == name]
         conv = [row for row in mine if row["status"] == Status.CONVERGED.value]
@@ -230,15 +243,11 @@ def cmd_multistart(args) -> int:
             hist[label] = hist.get(label, 0) + 1
         top = sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         hist_text = ", ".join(f"{label}: {count}" for label, count in top)
-        print(
+        summary.append(
             f"  {name:<5} converged {len(conv)}/{len(mine)}  median iters {med:g}  "
             f"mean time {mean_t:.4f}s  lambda bins {hist_text}"
         )
-
-    if args.format == "json":
-        _write_text(args.out, json.dumps(rows, indent=2) + "\n")
-    else:
-        _write_csv(args.out, _RUN_FIELDS, rows)
+    _emit(args, summary, lambda: _json_text(rows) if args.format == "json" else _csv_text(_RUN_FIELDS, rows))
     return _exit_code(reports)
 
 

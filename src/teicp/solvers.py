@@ -49,7 +49,7 @@ from .merit import (
 # here by name, so they stay importable from this module.
 from .merit import rayleigh_gradient, rayleigh_hessian  # noqa: F401
 from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
-from .tensor import TensorOperator, principal_subtensor
+from .tensor import TensorOperator
 from .verify import ResidualTriple, residual
 
 __all__ = [
@@ -266,7 +266,10 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     pair whose complementarity residuals actually verify, so the reported
     pair is refined: detect the support, solve the face-restricted system
     A_I z^{m-1} - lam B_I z^{m-1} = 0, ||z|| = 1 by Newton, and keep the
-    result only if it is feasible and strictly reduces the residual.  The
+    result only if it is feasible and strictly reduces the residual.  Newton
+    contracts the full operators at z padded with zeros, so the faces of
+    every operator are polished, and takes minimum-norm steps, so a face
+    whose eigenvectors form a set still converges to the nearest one.  The
     trace and iteration counts of the main loop are untouched.
 
     The support is {i : x_i > cut} for each cut in turn, until one face
@@ -296,43 +299,43 @@ def _polish(A, B, lam, x, target: float = 1e-10):
 
 
 def _newton_face(A, B, lam, x, support):
-    """Newton iteration for the eigensystem restricted to one face; None if either fails."""
-    n = A.dim
+    """Newton iteration for the eigensystem on one face; None if it fails.
+
+    z stays a full-length vector that is zero off ``support``, so the full
+    contractions sliced to the support are the face's: (T z^{m-1})[I] is
+    T_I z_I^{m-1} and (T z^{m-2})[I, I] is T_I z_I^{m-2}, for every operator.
+    Returns ``(lam, z / ||z||)``.
+    """
     m = A.order
-    try:
-        A_s = principal_subtensor(A, support)
-        B_s = principal_subtensor(B, support)
-    except TypeError:
-        return None
-    z = x[support] / np.linalg.norm(x[support])
-    lam_z = float(lam)
     k = support.size
+    face = np.ix_(support, support)
+    z = np.zeros(A.dim)
+    z[support] = x[support] / np.linalg.norm(x[support])
+    lam_z = float(lam)
     for _ in range(_POLISH_NEWTON_STEPS):
-        f_top = A_s.contract_m_minus_1(z) - lam_z * B_s.contract_m_minus_1(z)
-        f_bot = 0.5 * (float(z @ z) - 1.0)
-        fval = np.concatenate([f_top, [f_bot]])
+        bz = B.contract_m_minus_1(z)[support]
+        zs = z[support]
+        fval = np.append(A.contract_m_minus_1(z)[support] - lam_z * bz, 0.5 * (float(zs @ zs) - 1.0))
         if float(np.linalg.norm(fval)) <= 1e-13 * max(1.0, abs(lam_z)):
             break
         jac = np.zeros((k + 1, k + 1))
-        jac[:k, :k] = (m - 1) * (A_s.contract_m_minus_2(z) - lam_z * B_s.contract_m_minus_2(z))
-        jac[:k, k] = -B_s.contract_m_minus_1(z)
-        jac[k, :k] = z
+        jac[:k, :k] = (m - 1) * (A.contract_m_minus_2(z)[face] - lam_z * B.contract_m_minus_2(z)[face])
+        jac[:k, k] = -bz
+        jac[k, :k] = zs
         try:
-            delta = np.linalg.solve(jac, -fval)
+            # The minimum-norm step: where a face holds a set of eigenvectors
+            # (ex4 at lam = 0), jac is singular and a plain solve throws z far
+            # along its null direction.
+            delta = np.linalg.lstsq(jac, -fval, rcond=None)[0]
         except np.linalg.LinAlgError:
             return None
-        z = z + delta[:k]
+        z[support] += delta[:k]
         lam_z = lam_z + float(delta[k])
         if not np.all(np.isfinite(z)) or not np.isfinite(lam_z):
             return None
-    if np.any(z <= 0.0):
+    if np.any(z[support] <= 0.0):
         return None
-    x_new = np.zeros(n)
-    x_new[support] = z
-    nrm = float(np.linalg.norm(x_new))
-    if nrm == 0.0:
-        return None
-    return lam_z, x_new / nrm
+    return lam_z, z / np.linalg.norm(z)
 
 
 def _safe_lambda(A, B, x) -> float:

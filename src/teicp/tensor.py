@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,10 @@ __all__ = [
     "HIdentity",
     "ZIdentity",
     "symmetrize",
-    "principal_subtensor",
     "diagonal_tensor",
     "tensor_from_json",
     "load_tensor_json",
 ]
-
-# Symmetry is verified entry-by-entry up to this many elements; above it,
-# random (index, permutation) pairs are sampled instead.
-_EXHAUSTIVE_CHECK_LIMIT = 10**6
-_SYMMETRY_SAMPLES = 100
-
 
 def _class_keys(dim: int, order: int) -> np.ndarray:
     """Flat position of the sorted representative of every index tuple."""
@@ -108,16 +101,14 @@ class DenseSymmetricTensor(TensorOperator):
             self._validate_symmetry()
 
     def _validate_symmetry(self) -> None:
-        if self.entries.size <= _EXHAUSTIVE_CHECK_LIMIT:
-            flat = self.entries.ravel()
-            if not np.array_equal(flat, flat[_class_keys(self.dim, self.order)]):
-                raise ValueError("entries are not invariant under index permutations")
-            return
-        rng = np.random.default_rng(0)
-        for _ in range(_SYMMETRY_SAMPLES):
-            idx = tuple(rng.integers(0, self.dim, size=self.order))
-            perm = tuple(rng.permutation(np.array(idx)))
-            if self.entries[idx] != self.entries[perm]:
+        """Every entry equals its transpose under one swap and one cycle of the axes.
+
+        The swap (1, 0, 2, ..., m-1) and the cycle (1, 2, ..., m-1, 0) generate
+        all index permutations, so the two tests check every entry exactly.
+        """
+        m = self.order
+        for axes in ((1, 0, *range(2, m)), (*range(1, m), 0)):
+            if not np.array_equal(self.entries, self.entries.transpose(axes)):
                 raise ValueError("entries are not invariant under index permutations")
 
     def __repr__(self) -> str:
@@ -253,27 +244,6 @@ def symmetrize(raw) -> DenseSymmetricTensor:
     return DenseSymmetricTensor(out.reshape(arr.shape), validate=False)
 
 
-def principal_subtensor(tensor: TensorOperator, indices) -> TensorOperator:
-    """Restrict an operator to the given (0-based) index set, reindexed densely.
-
-    The full set gives the operator itself, an identity the smaller identity,
-    a dense tensor its sub-tensor; any other operator raises ``TypeError``.
-    """
-    idx = sorted({int(i) for i in indices})
-    if not idx:
-        raise ValueError("index set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= tensor.dim:
-        raise IndexError(f"index set out of range for dimension {tensor.dim}")
-    if len(idx) == tensor.dim:
-        return tensor
-    if isinstance(tensor, (HIdentity, ZIdentity)):
-        return replace(tensor, dim=len(idx))
-    if not isinstance(tensor, DenseSymmetricTensor):
-        raise TypeError(f"cannot restrict a {type(tensor).__name__} to a principal sub-tensor")
-    sub = tensor.entries[np.ix_(*([idx] * tensor.order))]
-    return DenseSymmetricTensor(sub, validate=False)
-
-
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
     """Dense tensor with the given values on the super-diagonal, zero elsewhere."""
     vals = np.asarray(values, dtype=float)
@@ -284,6 +254,11 @@ def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
     return DenseSymmetricTensor(arr, validate=False)
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer; bool is an int subclass, and a float would truncate."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tensor_from_json(doc: dict) -> DenseSymmetricTensor:
     """Build a tensor from the JSON document format.
 
@@ -291,20 +266,27 @@ def tensor_from_json(doc: dict) -> DenseSymmetricTensor:
 
         {"order": m, "dim": n, "entries": [{"idx": [i1, ..., im], "val": v}, ...]}
 
-    Unlisted entries are zero.  With ``"symmetrize": true`` the permutation
-    average is applied after placement; otherwise the listed entries must
-    already be symmetric.
+    Unlisted entries are zero.  ``order``, ``dim`` and every index must be
+    JSON integers, and an index may be listed only once (its permutations
+    are other entries).  With ``"symmetrize": true`` the permutation average
+    is applied after placement; otherwise the listed entries must already be
+    symmetric.
     """
-    m = int(doc["order"])
-    n = int(doc["dim"])
-    if m < 2 or n < 1:
-        raise ValueError(f"bad tensor shape: order {m}, dim {n}")
+    m, n = doc["order"], doc["dim"]
+    if not (_is_json_int(m) and _is_json_int(n)) or m < 2 or n < 1:
+        raise ValueError(f"bad tensor shape: order {m!r}, dim {n!r}")
     raw = np.zeros((n,) * m)
+    listed = set()
     for item in doc.get("entries", []):
-        idx = tuple(int(i) - 1 for i in item["idx"])
-        if len(idx) != m or any(i < 0 or i >= n for i in idx):
-            raise ValueError(f"bad index {item['idx']} for order {m}, dim {n}")
-        raw[idx] = float(item["val"])
+        idx = item["idx"]
+        in_range = isinstance(idx, list) and all(_is_json_int(i) and 1 <= i <= n for i in idx)
+        if not in_range or len(idx) != m:
+            raise ValueError(f"bad index {idx!r} for order {m}, dim {n}")
+        key = tuple(i - 1 for i in idx)
+        if key in listed:
+            raise ValueError(f"index {idx} is listed twice")
+        listed.add(key)
+        raw[key] = float(item["val"])
     if doc.get("symmetrize", False):
         return symmetrize(raw)
     return DenseSymmetricTensor(raw)

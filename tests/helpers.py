@@ -56,8 +56,7 @@ class ReduceTensor(DenseSymmetricTensor):
 
     These are the per-call kernels the one-GEMV ``DenseSymmetricTensor``
     replaced.  The GEMV sums in another order, so its results are compared
-    with these within a tolerance, not bit for bit.  Subclassing lets
-    ``principal_subtensor`` restrict both alike for the polish step.
+    with these within a tolerance, not bit for bit.
     """
 
     def contract_m(self, x) -> float:

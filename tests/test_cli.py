@@ -151,6 +151,28 @@ def test_multistart_histogram_in_summary(capsys):
     assert "median iters" in text
 
 
+def test_multistart_json_without_out_prints_only_the_document(capsys, tmp_path):
+    out = tmp_path / "runs.json"
+    base = ["multistart", "--problem", "ex1", "--solver", "spg1", "--solver", "spp",
+            "--runs", "2", "--format", "json"]
+    assert main(base) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert main(base + ["--out", str(out)]) == EXIT_OK
+    summary = capsys.readouterr().out
+    assert "median iters" in summary and "[" not in summary
+    written = json.loads(out.read_text())
+    assert len(printed) == 2 * 2
+    for doc in (printed, written):
+        for row in doc:
+            row.pop("time")
+    assert printed == written
+    # CSV rows go to --out only; without it the summary is printed alone
+    assert main(base[:-2]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.count("\n") == summary.count("\n") == 3
+    assert "run,solver" not in text
+
+
 def test_multistart_spg1_reaches_top_eigenvalue_most_often(tmp_path):
     out = tmp_path / "m.csv"
     code = main([

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from teicp.tensor import (
     ZIdentity,
     diagonal_tensor,
     load_tensor_json,
-    principal_subtensor,
     symmetrize,
     tensor_from_json,
 )
@@ -127,61 +127,71 @@ def test_symmetry_invariance_under_random_permutations(rng):
         assert T.entries[idx] == T.entries[perm]
 
 
-def test_principal_subtensor_full_set_is_identity():
-    T = random_symmetric(4, 4, 3)
-    sub = principal_subtensor(T, range(4))
-    assert np.array_equal(sub.entries, T.entries)
+def _zero_padded(rng, n, support):
+    z = np.zeros(n)
+    z[support] = rng.random(support.size) + 0.1
+    return z
 
 
-def test_principal_subtensor_diagonal_values():
-    diag = [(i - 1.0) / i for i in range(1, 6)]
-    A = diagonal_tensor(diag, 4)
-    single = principal_subtensor(A, [4])
-    assert single.dim == 1 and single.entries[0, 0, 0, 0] == 0.8
-    pair = principal_subtensor(A, [1, 3])
-    np.testing.assert_allclose(
-        pair.entries[tuple(np.arange(2) for _ in range(4))], [0.5, 0.75]
-    )
+def test_full_contractions_restrict_to_a_face(rng):
+    """On a vector that is zero off a support I, the full contractions sliced
+    to I are the face's: (T z^{m-1})[I] = T_I z_I^{m-1} and
+    (T z^{m-2})[I, I] = T_I z_I^{m-2}.  The polish relies on this."""
+    cases = [
+        (random_symmetric(5, 4, 8), np.array([0, 2, 3])),
+        (random_symmetric(4, 6, 9), np.array([1, 3])),
+        (ReduceTensor(random_symmetric(5, 4, 10).entries, validate=False), np.array([1, 2, 4])),
+    ]
+    for T, support in cases:
+        z = _zero_padded(rng, T.dim, support)
+        sub, zs, m = T.entries[np.ix_(*[support] * T.order)], z[support], T.order
+        np.testing.assert_allclose(T.contract_m_minus_1(z)[support], dense_contract(sub, zs, m - 1), rtol=1e-12)
+        np.testing.assert_allclose(
+            T.contract_m_minus_2(z)[np.ix_(support, support)], dense_contract(sub, zs, m - 2), rtol=1e-12
+        )
+    for identity in (HIdentity(4, 5), ZIdentity(4, 5), HIdentity(6, 4), ZIdentity(6, 4)):
+        for support in (np.array([0, 2, 3]), np.array([1]), np.arange(identity.dim)):
+            support = support[support < identity.dim]
+            z = _zero_padded(rng, identity.dim, support)
+            smaller = type(identity)(identity.order, support.size)
+            zs = z[support]
+            assert np.array_equal(identity.contract_m_minus_1(z)[support], smaller.contract_m_minus_1(zs))
+            assert np.array_equal(
+                identity.contract_m_minus_2(z)[np.ix_(support, support)], smaller.contract_m_minus_2(zs)
+            )
 
 
-def test_principal_subtensor_errors():
-    T = random_symmetric(3, 4, 1)
-    with pytest.raises(ValueError):
-        principal_subtensor(T, [])
-    with pytest.raises(IndexError):
-        principal_subtensor(T, [0, 3])
+def test_newton_face_polishes_any_operator():
+    """A face of an operator known only through the TensorOperator methods is
+    polished exactly as the same face of the dense tensor behind it."""
 
-
-def test_principal_subtensor_of_other_operators():
-    for identity in (HIdentity(4, 5), ZIdentity(4, 5)):
-        assert principal_subtensor(identity, range(5)) is identity
-        assert principal_subtensor(identity, [1, 3]) == type(identity)(4, 2)
-    T = random_symmetric(3, 4, 1)
-    R = ReduceTensor(T.entries, validate=False)
-    assert principal_subtensor(R, [2, 0, 1]) is R
-    assert type(principal_subtensor(R, [0, 2])) is DenseSymmetricTensor
-    with pytest.raises(IndexError):
-        principal_subtensor(HIdentity(4, 3), [3])
-
-    class Opaque(TensorOperator):
-        order, dim = 4, 3
+    class Delegate(TensorOperator):
+        def __init__(self, inner):
+            self.inner, self.order, self.dim = inner, inner.order, inner.dim
 
         def contract_m(self, x):
-            return 0.0
+            return self.inner.contract_m(x)
 
         def contract_m_minus_1(self, x):
-            return np.zeros(3)
+            return self.inner.contract_m_minus_1(x)
 
         def contract_m_minus_2(self, x):
-            return np.zeros((3, 3))
+            return self.inner.contract_m_minus_2(x)
 
-    opaque = Opaque()
-    assert principal_subtensor(opaque, range(3)) is opaque
-    with pytest.raises(TypeError, match="Opaque"):
-        principal_subtensor(opaque, [0, 1])
-    # the polish skips a face it cannot form
-    x = np.array([0.6, 0.8, 0.0])
-    assert teicp.solvers._newton_face(T, opaque, 0.5, x, np.array([0, 1])) is None
+    A, B = build(parse_problem("ex1"))
+    faces = 0
+    for seed in (0, 1, 15):
+        rep = teicp.solvers.spg1(A, B, random_start(3, seed), teicp.solvers.SolverConfig(keep_iterates=True))
+        x = rep.iterates[-1] / np.linalg.norm(rep.iterates[-1])
+        lam = rep.trace[-1].lam
+        support = np.flatnonzero(x > 1e-2)
+        faces += support.size < A.dim
+        want = teicp.solvers._newton_face(A, B, lam, x, support)
+        got = teicp.solvers._newton_face(Delegate(A), B, lam, x, support)
+        assert want is not None and got is not None, seed
+        assert got[0].hex() == want[0].hex() and got[1].tobytes() == want[1].tobytes(), seed
+        assert np.all(got[1][np.setdiff1d(np.arange(3), support)] == 0.0), seed
+    assert faces == 2
 
 
 def test_euler_and_matrix_consistency(rng):
@@ -288,6 +298,29 @@ def test_json_bad_index_rejected():
             tensor_from_json(doc)
 
 
+def test_json_rejects_non_integer_indices_and_shape():
+    # fractional and boolean indices used to be truncated to integers
+    doc = {"order": 2, "dim": 2,
+           "entries": [{"idx": [1.9, 1.2], "val": 1}, {"idx": [2, 2], "val": 3}, {"idx": [2, 2], "val": 5}]}
+    with pytest.raises(ValueError, match=r"bad index \[1\.9, 1\.2\]"):
+        tensor_from_json(doc)
+    for idx in ([True, 1], [1, 2.0], ["1", 1], 1):
+        with pytest.raises(ValueError, match="bad index"):
+            tensor_from_json({"order": 2, "dim": 2, "entries": [{"idx": idx, "val": 3.0}]})
+    for order, dim in ((4.5, 2), (4, 2.0), (True, 2), (4, True), ("4", 2)):
+        with pytest.raises(ValueError, match="bad tensor shape"):
+            tensor_from_json({"order": order, "dim": dim, "entries": []})
+
+
+def test_json_rejects_an_index_listed_twice():
+    doc = {"order": 2, "dim": 2, "entries": [{"idx": [2, 2], "val": 3}, {"idx": [2, 2], "val": 5}]}
+    with pytest.raises(ValueError, match=r"index \[2, 2\] is listed twice"):
+        tensor_from_json(doc)
+    # permutations of one index are other entries
+    doc["entries"] = [{"idx": [1, 2], "val": 3}, {"idx": [2, 1], "val": 3}]
+    assert tensor_from_json(doc).entries[1, 0] == 3.0
+
+
 def test_entries_are_immutable():
     T = random_symmetric(2, 4, 0)
     with pytest.raises(ValueError):
@@ -295,11 +328,47 @@ def test_entries_are_immutable():
 
 
 def test_large_tensor_uses_sampled_validation():
-    # 6^8 > 10^6 entries takes the sampled-symmetry path
+    # 6^8 > 10^6 entries, checked entry by entry like any other size
     arr = np.zeros((6,) * 8)
     arr[(0,) * 8] = 1.0
     T = DenseSymmetricTensor(arr)
     assert T.order == 8 and T.entries.size == 6**8
+
+
+def test_symmetry_check_sees_one_asymmetric_entry_in_a_large_tensor():
+    arr = np.zeros((32,) * 4)
+    arr[0, 1, 2, 3] = 1.0
+    with pytest.raises(ValueError, match="invariant under index permutations"):
+        DenseSymmetricTensor(arr)
+    doc = {"order": 4, "dim": 32, "entries": [{"idx": [1, 2, 3, 4], "val": 1.0}]}
+    with pytest.raises(ValueError, match="invariant under index permutations"):
+        tensor_from_json(doc)
+    assert symmetrize(arr).entries[3, 2, 1, 0] == 1.0 / 24
+
+
+def test_symmetry_check_matches_literal_permutations(rng):
+    """The swap-and-cycle test accepts exactly the tensors whose entries equal
+    those at every permutation of their index."""
+    verdicts = collections.Counter()
+    for m in range(2, 6):
+        for n in range(1, 4):
+            for perturb in (False, True):
+                arr = np.array(symmetrize(rng.standard_normal((n,) * m)).entries)
+                if perturb:
+                    arr[tuple(rng.integers(0, n, size=m))] += 1.0
+                literal = all(
+                    arr[idx] == arr[perm]
+                    for idx in itertools.product(range(n), repeat=m)
+                    for perm in itertools.permutations(idx)
+                )
+                try:
+                    DenseSymmetricTensor(arr)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == literal, (m, n, perturb)
+                verdicts[accepted] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_non_finite_entry_rejected():
