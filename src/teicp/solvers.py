@@ -16,11 +16,12 @@ and return a :class:`SolverReport` with a per-iteration trace:
   rescales to B x^m = 1.
 * ``spa``  -- sspa with the shift forced to r_k = 0.
 
-All five run one driver loop, which owns the set-up, the stop tests, the
-trace rows and the report; a small step rule supplies what differs.  spg1
-and spg2 share the SPG rule and differ only in the trial point of the line
-search, x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa
-and spa share the power rule.
+All five run one driver loop, which owns the set-up, the evaluation of
+every point, the stop tests, the trace rows and the report; a small step
+rule measures each point and proposes the next one.  spg1 and spg2 share
+the SPG rule and differ only in the trial point of the line search,
+x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa and
+spa share the power rule.
 
 The spectral (Barzilai-Borwein) step length beta = <s, s> / <s, y> drives
 both SPG variants, clamped to safeguards.  Because the solvers maximize,
@@ -209,49 +210,24 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
         raise ValueError("x0 must be nonzero")
 
 
-class _Run:
-    """Accumulates the trace and builds the final report."""
-
-    def __init__(self, A, B, cfg, t0):
-        self.A = A
-        self.B = B
-        self.cfg = cfg
-        self.t0 = t0
-        self.trace: list[IterationRecord] = []
-        self.iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
-
-    def record(self, k, lam, merit_value, grad_norm, step, beta, shift, x):
-        self.trace.append(
-            IterationRecord(
-                k=k,
-                lam=float(lam),
-                merit_value=float(merit_value),
-                grad_norm=float(grad_norm),
-                step=float(step),
-                beta=float(beta),
-                shift=float(shift),
-            )
-        )
-        if self.iterates is not None:
-            self.iterates.append(np.array(x, copy=True))
-
-    def finish(self, lam, x, status, iters) -> SolverReport:
-        x = np.asarray(x, dtype=float)
-        x_unit = x / np.linalg.norm(x)
-        lam = float(lam)
-        if status is Status.CONVERGED:
-            lam, x_unit, res = _polish(self.A, self.B, lam, x_unit)
-        else:
-            res = residual(self.A, self.B, lam, x_unit)
-        return SolverReport(
-            pair=EigenPair(lam=lam, x=x_unit),
-            status=status,
-            iters=iters,
-            residual=res,
-            trace=self.trace,
-            wall_time=time.perf_counter() - self.t0,
-            iterates=self.iterates,
-        )
+def _report(A, B, lam, x, status, iters, trace, iterates, t0) -> SolverReport:
+    """Polish a converged endpoint, take the residual of the kept pair, and build the report."""
+    x = np.asarray(x, dtype=float)
+    x_unit = x / np.linalg.norm(x)
+    lam = float(lam)
+    if status is Status.CONVERGED:
+        lam, x_unit, res = _polish(A, B, lam, x_unit)
+    else:
+        res = residual(A, B, lam, x_unit)
+    return SolverReport(
+        pair=EigenPair(lam=lam, x=x_unit),
+        status=status,
+        iters=iters,
+        residual=res,
+        trace=trace,
+        wall_time=time.perf_counter() - t0,
+        iterates=iterates,
+    )
 
 
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
@@ -275,17 +251,22 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     The support is {i : x_i > cut} for each cut in turn, until one face
     reaches ``target``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
     coordinates that are noise around a vertex, and 0 keeps small but
-    genuine coordinates the 1e-4 cut drops.  Returns ``(lam, x, residual)``
-    for the pair it keeps, so the report reuses that residual triple.
+    genuine coordinates the 1e-4 cut drops.  Two cuts often give the same
+    face; Newton runs on each face once, since a second run from the same
+    (lam, x) would only repeat the first candidate.  Returns
+    ``(lam, x, residual)`` for the pair it keeps, so the report reuses that
+    residual triple.
     """
     best = (lam, x, residual(A, B, lam, x))
     best_viol = best[2].max_violation()
+    tried = set()
     for cut in _POLISH_SUPPORT_CUTS:
         if best_viol <= target:
             break
         support = np.flatnonzero(x > cut)
-        if support.size == 0:
+        if support.size == 0 or support.tobytes() in tried:
             continue
+        tried.add(support.tobytes())
         sub_pair = _newton_face(A, B, lam, x, support)
         if sub_pair is None:
             continue
@@ -369,20 +350,31 @@ class _SpgRule:
     spg1 (``curvilinear=False``) tries x + alpha d with d = P(x + beta g) - x
     and renormalizes the accepted point; spg2 (``curvilinear=True``) tries
     P(x + alpha g) from alpha = beta and uses the gradient-scaled BB band.
+    The measure reads the merit value and gradient from the driver's
+    evaluation and makes the Barzilai-Borwein update from the last measured
+    (x, g); the line search computes only merit values, and a trial point
+    outside the merit's domain raises to the driver.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, curvilinear: bool):
         self.A, self.B, self.cfg, self.curvilinear = A, B, cfg, curvilinear
+        self.x = None
 
     def start(self, x):
-        ev = evaluate(self.A, self.B, x, self.cfg.merit)
-        self.val, self.g = ev.value, ev.gradient
-        self.gnorm = float(np.linalg.norm(self.g))
-        self.beta = 1.0 / self.gnorm if self.gnorm > 0.0 else 1.0
-        return x, ev.lam
+        return x
 
-    def measure(self, x, lam):
-        return (self.val, self.gnorm, self.beta, 0.0), None
+    def measure(self, x, ev):
+        g = ev.gradient
+        gnorm = float(np.linalg.norm(g))
+        if self.x is None:
+            self.beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
+        else:
+            lo, hi = _bb_bounds(gnorm, self.cfg.paper_literal_safeguards or self.curvilinear)
+            # Maximizing f is minimizing -f, whose gradient difference is
+            # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
+            self.beta = _bb_clamped(x - self.x, self.g - g, lo, hi)
+        self.x, self.g, self.val, self.gnorm = x, g, ev.value, gnorm
+        return (ev.value, gnorm, self.beta, 0.0), None
 
     def stationary(self, x, k) -> bool:
         if k and self.gnorm <= self.cfg.tol:
@@ -390,8 +382,8 @@ class _SpgRule:
         self.d = project_sphere_plus(x + self.beta * self.g) - x
         return float(np.linalg.norm(self.d)) < self.cfg.tol
 
-    def step(self, x, lam):
-        A, B, cfg, g, val = self.A, self.B, self.cfg, self.g, self.val
+    def step(self, x):
+        cfg, g, val = self.cfg, self.g, self.val
         alpha = self.beta if self.curvilinear else 1.0
         slope = float(g @ self.d)
         for _ in range(LINE_SEARCH_MAX_TRIALS):
@@ -402,28 +394,14 @@ class _SpgRule:
                 slope = float(g @ (trial - x))
             else:
                 trial = x + alpha * self.d
-            try:
-                f_trial = _trial_value(A, B, trial, cfg.merit)
-            except _DOMAIN_ERRORS:
-                return None, None, 0.0, Status.DOMAIN_ERROR
+            f_trial = _trial_value(self.A, self.B, trial, cfg.merit)
             if f_trial >= val + cfg.rho * alpha * slope:
                 break
             model_slope = slope / alpha if self.curvilinear else slope
             alpha = _shrink(alpha, val, f_trial, model_slope)
         else:
-            return None, None, 0.0, Status.LINE_SEARCH_FAILURE
-        x_new = trial if self.curvilinear else trial / np.linalg.norm(trial)
-        try:
-            ev = evaluate(A, B, x_new, cfg.merit)
-        except _DOMAIN_ERRORS:
-            return None, None, 0.0, Status.DOMAIN_ERROR
-        gnorm = float(np.linalg.norm(ev.gradient))
-        lo, hi = _bb_bounds(gnorm, cfg.paper_literal_safeguards or self.curvilinear)
-        # Maximizing f is minimizing -f, whose gradient difference is
-        # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
-        self.beta = _bb_clamped(x_new - x, g - ev.gradient, lo, hi)
-        self.val, self.g, self.gnorm = ev.value, ev.gradient, gnorm
-        return x_new, ev.lam, alpha, None
+            return None, 0.0, Status.LINE_SEARCH_FAILURE
+        return (trial if self.curvilinear else trial / np.linalg.norm(trial)), alpha, None
 
 
 class _PowerRule:
@@ -432,9 +410,8 @@ class _PowerRule:
     Unscaled (spp): the Rayleigh gradient g plus r m x is thresholded to the
     orthant and renormalized.  Scaled (sspa, and spa with r = 0): iterates sit
     on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
-    by a step length equal to its norm, before rescaling.  The rule evaluates
-    the pair once where it makes a point, and the measure reads the gradient,
-    y and the Hessian from that evaluation.
+    by a step length equal to its norm, before rescaling.  The measure reads
+    the gradient, y and the Hessian from the driver's evaluation of the point.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -445,17 +422,11 @@ class _PowerRule:
             )
         self.A, self.B, self.cfg, self.scaled, self.shifted = A, B, cfg, scaled, shifted
 
-    def _evaluate(self, x) -> float:
-        self.ev = evaluate(self.A, self.B, x)
-        return self.ev.lam
-
     def start(self, x):
-        if self.scaled:
-            x = b_normalize(x, self.B)
-        return x, self._evaluate(x)
+        return b_normalize(x, self.B) if self.scaled else x
 
-    def measure(self, x, lam):
-        ev, m = self.ev, self.A.order
+    def measure(self, x, ev):
+        m = self.A.order
         g = ev.y if self.scaled else ev.gradient
         shift = 0.0
         ascent = g
@@ -474,65 +445,83 @@ class _PowerRule:
         # spp stops on its thresholded direction, spa and sspa on the residual.
         self.stop_norm = gnorm if self.scaled else self.length
         degenerate = not self.scaled and self.length == 0.0
-        return (lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None
+        return (ev.lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None
 
     def stationary(self, x, k) -> bool:
         return self.stop_norm <= self.cfg.tol
 
-    def step(self, x, lam):
+    def step(self, x):
         if not self.scaled:
-            x = self.ascent / self.length
-            return x, self._evaluate(x), 0.0, None
+            return self.ascent / self.length, 0.0, None
         u = project_sphere_plus(x + self.length * self.ascent)
         try:
-            x = b_normalize(u, self.B)
+            return b_normalize(u, self.B), self.length, None
         except ScalingError:
-            return None, None, self.length, Status.DOMAIN_ERROR
-        return x, self._evaluate(x), self.length, None
+            # Unlike a point the driver cannot evaluate, this failed row
+            # keeps the step length that was tried.
+            return None, self.length, Status.DOMAIN_ERROR
 
 
 def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverReport:
     """The one loop every solver runs; ``rule_type(A, B, cfg, **flags)`` steps.
 
-    At each iterate the rule measures the trace fields.  The run then stops,
-    in this order, on the rule's degenerate-direction failure, on a lambda or
-    x change within tol since the last iterate or the rule's stationarity
-    test, and at the iteration cap; otherwise the rule steps.  A failed step
-    ends the run at the current iterate, whose trace row keeps the step the
-    rule reports.
+    The driver makes, evaluates and records every point; the rule measures
+    the trace fields from that evaluation and proposes the next point.  The
+    run then stops, in this order, on the rule's degenerate-direction
+    failure, on a lambda or x change within tol since the last iterate or
+    the rule's stationarity test, and at the iteration cap; otherwise the
+    rule steps.  A failed step ends the run at the current iterate, whose
+    trace row keeps the step the rule reports.  A point the merit cannot be
+    evaluated at (the start, a line-search trial or a new iterate) ends any
+    solver with DomainError and step 0; at the start, the row holds the
+    Rayleigh quotient of the projected x0, NaN where B x^m = 0.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     _check_problem(A, B, x0)
     rule = rule_type(A, B, cfg, **flags)
-    run = _Run(A, B, cfg, time.perf_counter())
-    start = project_sphere_plus(x0)
-    try:
-        x, lam = rule.start(start)
-    except _DOMAIN_ERRORS:
-        lam = _safe_lambda(A, B, start)
-        run.record(0, lam, float("nan"), float("nan"), 0.0, 0.0, 0.0, start)
-        return run.finish(lam, start, Status.DOMAIN_ERROR, 0)
+    t0 = time.perf_counter()
+    trace: list[IterationRecord] = []
+    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
 
-    x_prev = lam_prev = None
+    def record(k, lam, fields, step, x):
+        merit_value, grad_norm, beta, shift = map(float, fields)
+        trace.append(IterationRecord(k, float(lam), merit_value, grad_norm, float(step), beta, shift))
+        if iterates is not None:
+            iterates.append(np.array(x, copy=True))
+
+    x = project_sphere_plus(x0)
+    lam = x_prev = lam_prev = None
     k = 0
-    while True:
-        (merit_value, grad_norm, beta, shift), status = rule.measure(x, lam)
-        stalled = x_prev is not None and (
-            abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
-        )
-        if status is None and (stalled or rule.stationary(x, k)):
-            status = Status.CONVERGED
-        if status is None and k >= cfg.max_iters:
-            status = Status.MAX_ITERS
-        step = 0.0
-        if status is None:
-            x_new, lam_new, step, status = rule.step(x, lam)
-        run.record(k, lam, merit_value, grad_norm, step, beta, shift, x)
-        if status is not None:
-            return run.finish(lam, x, status, k)
-        x_prev, lam_prev, x, lam = x, lam, x_new, lam_new
-        k += 1
+    try:
+        x_new = rule.start(x)
+        ev = evaluate(A, B, x_new, cfg.merit)
+        while True:
+            x, lam = x_new, ev.lam
+            fields, status = rule.measure(x, ev)
+            stalled = x_prev is not None and (
+                abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
+            )
+            if status is None and (stalled or rule.stationary(x, k)):
+                status = Status.CONVERGED
+            if status is None and k >= cfg.max_iters:
+                status = Status.MAX_ITERS
+            step = 0.0
+            if status is None:
+                x_new, step, status = rule.step(x)
+            if status is None:
+                ev = evaluate(A, B, x_new, cfg.merit)
+            record(k, lam, fields, step, x)
+            if status is not None:
+                break
+            x_prev, lam_prev = x, lam
+            k += 1
+    except _DOMAIN_ERRORS:
+        if lam is None:  # the start itself could not be evaluated
+            lam, fields = _safe_lambda(A, B, x), (float("nan"), float("nan"), 0.0, 0.0)
+        status = Status.DOMAIN_ERROR
+        record(k, lam, fields, 0.0, x)
+    return _report(A, B, lam, x, status, k, trace, iterates, t0)
 
 
 def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:

@@ -288,6 +288,82 @@ def test_spa_domain_error_on_nonpositive_scale():
     assert rep.status is Status.DOMAIN_ERROR
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_reports_a_point_it_cannot_evaluate(name):
+    """A step to where B x^m = 0 ends every solver with DomainError at k = 0.
+
+    From [1, 1], spp's power step lands on e2, a line-search trial of spg1
+    and spg2 reaches e2, and spa's and sspa's steps cannot be rescaled.
+    """
+    A = diagonal_tensor([0.0, 1.0], 4)
+    B = diagonal_tensor([1.0, 0.0], 4)
+    rep = SOLVERS[name](A, B, np.array([1.0, 1.0]))
+    assert rep.status is Status.DOMAIN_ERROR
+    assert rep.iters == 0 and len(rep.trace) == 1
+    assert rep.pair.lam == 1.0 and rep.trace[0].lam == 1.0
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex4:n=5", "rand:n=6,m=4", "rand:n=4,m=6"])
+def test_driver_evaluates_each_point_once(problem, monkeypatch):
+    """Before the polish, a converged run evaluates the pair once per iterate: iters + 1.
+
+    Line-search trials compute only the merit value, so spg1 and spg2 make no
+    further evaluation under either merit.
+    """
+    calls = []
+    at_polish = []
+    evaluate = teicp.solvers.evaluate
+    polish = teicp.solvers._polish
+
+    def counting_evaluate(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    def spy_polish(*args):
+        at_polish.append(len(calls))
+        return polish(*args)
+
+    monkeypatch.setattr(teicp.solvers, "evaluate", counting_evaluate)
+    monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
+    A, B = build(parse_problem(problem))
+    runs = [(name, SolverConfig()) for name in SOLVERS]
+    runs += [(name, SolverConfig(merit=MeritKind.LOGARITHMIC)) for name in ("spg1", "spg2")]
+    converged = 0
+    for name, cfg in runs:
+        for seed in range(10):
+            calls.clear()
+            at_polish.clear()
+            rep = SOLVERS[name](A, B, random_start(A.dim, seed), cfg)
+            if rep.status is Status.CONVERGED:
+                assert at_polish == [rep.iters + 1], (name, cfg.merit, seed)
+                converged += 1
+    assert converged >= 40, problem
+
+
+# Faces that two support cuts share: spg1 on ex3 from this start stops where
+# the 1e-2 and 0.1 cuts both give {0}, and the polish goes on to the 0 cut.
+_REPEATED_FACE_START = 20249
+
+
+def test_polish_tries_each_face_once(monkeypatch):
+    faces = []
+    newton_face = teicp.solvers._newton_face
+
+    def spy_newton_face(A, B, lam, x, support):
+        faces.append(tuple(support.tolist()))
+        return newton_face(A, B, lam, x, support)
+
+    monkeypatch.setattr(teicp.solvers, "_newton_face", spy_newton_face)
+    A, B = build(parse_problem("ex3"))
+    spg1(A, B, random_start(3, _REPEATED_FACE_START))
+    assert faces == [(0,), (0, 1), (0, 1, 2)]
+    for name, solver in SOLVERS.items():
+        for r in range(40):
+            faces.clear()
+            solver(A, B, random_start(3, 20240 + r))
+            assert len(faces) == len(set(faces)), (name, r, faces)
+
+
 def test_solvers_reject_bad_problems():
     A = HIdentity(3, 2)  # odd order
     with pytest.raises(ValueError):

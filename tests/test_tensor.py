@@ -327,7 +327,7 @@ def test_entries_are_immutable():
         T.entries[0, 0, 0, 0] = 5.0
 
 
-def test_large_tensor_uses_sampled_validation():
+def test_large_tensor_is_checked_entry_by_entry():
     # 6^8 > 10^6 entries, checked entry by entry like any other size
     arr = np.zeros((6,) * 8)
     arr[(0,) * 8] = 1.0
