@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseSymmetricTensor, HIdentity, TensorOperator, ZIdentity, diagonal_tensor, symmetrize
+from .tensor import (
+    DenseSymmetricTensor,
+    HIdentity,
+    TensorOperator,
+    ZIdentity,
+    _sorted_index_grids,
+    diagonal_tensor,
+    symmetrize,
+)
 
 __all__ = ["ProblemSpec", "parse_problem", "build", "random_symmetric", "random_start"]
 
@@ -108,8 +116,8 @@ def _from_symmetric_formula(n: int, m: int, fn) -> DenseSymmetricTensor:
     # Evaluated on sorted index tuples so entries within a permutation class
     # are bit-identical even when fn sums floats in index order.
     shape = (n,) * m
-    idx = np.indices(shape).reshape(m, -1)
-    vals = fn(np.sort(idx, axis=0) + 1)
+    idx = np.stack(np.broadcast_arrays(*_sorted_index_grids(n, m)), dtype=np.intp)
+    vals = fn(idx.reshape(m, -1) + 1)
     return DenseSymmetricTensor(vals.reshape(shape), validate=False)
 
 

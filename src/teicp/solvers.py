@@ -31,6 +31,7 @@ y_k = g_k - g_{k+1}, so the curvature <s, y> is positive near maxima.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -108,12 +109,13 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # NaN fails every comparison, so the finiteness test comes first.
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not math.isfinite(self.tau) or self.tau <= 0:
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

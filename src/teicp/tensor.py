@@ -33,10 +33,33 @@ __all__ = [
     "load_tensor_json",
 ]
 
+
+def _sorted_index_grids(dim: int, order: int) -> list[np.ndarray]:
+    """The m sorted indices s_0 <= ... <= s_{m-1} of every index tuple, as grids.
+
+    Grid k broadcasts to shape (dim,) * order, and its entry at (i_1, ..., i_m)
+    is the k-th smallest of those indices.  The grids come from an odd-even
+    transposition network of min/max compare-exchanges over the m index axes,
+    so the first round works on dim^2-sized broadcasts and no (m, dim^m)
+    index array or generic sort is needed.  The dtype is the smallest that
+    holds dim - 1.
+    """
+    axis = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
+    grids = [axis.reshape((1,) * k + (dim,) + (1,) * (order - 1 - k)) for k in range(order)]
+    for rnd in range(order):
+        for k in range(rnd % 2, order - 1, 2):
+            lo, hi = grids[k], grids[k + 1]
+            grids[k], grids[k + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return grids
+
+
 def _class_keys(dim: int, order: int) -> np.ndarray:
     """Flat position of the sorted representative of every index tuple."""
-    idx = np.indices((dim,) * order).reshape(order, -1)
-    return np.ravel_multi_index(tuple(np.sort(idx, axis=0)), (dim,) * order)
+    grids = _sorted_index_grids(dim, order)
+    key = grids[0].astype(np.intp)
+    for s in grids[1:]:
+        key = key * dim + s
+    return np.broadcast_to(key, (dim,) * order).ravel()
 
 
 class TensorOperator(abc.ABC):
@@ -235,13 +258,13 @@ def symmetrize(raw) -> DenseSymmetricTensor:
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
     keys = _class_keys(arr.shape[0], arr.ndim)
     flat = arr.ravel()
+    # Per class, indexed by its representative: the representative's own value
+    # where every member equals it, else the mean summed in flat order.
     counts = np.bincount(keys, minlength=flat.size)
     sums = np.bincount(keys, weights=flat, minlength=flat.size)
-    rep = flat[keys]
-    constant = np.bincount(keys, weights=(flat == rep).astype(float), minlength=flat.size)
-    means = sums / np.maximum(counts, 1)
-    out = np.where(constant[keys] == counts[keys], rep, means[keys])
-    return DenseSymmetricTensor(out.reshape(arr.shape), validate=False)
+    constant = np.bincount(keys, weights=flat == flat[keys], minlength=flat.size) == counts
+    value = np.where(constant, flat, sums / np.maximum(counts, 1))
+    return DenseSymmetricTensor(value[keys].reshape(arr.shape), validate=False)
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:

@@ -74,6 +74,45 @@ class ReduceTensor(DenseSymmetricTensor):
         return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
 
 
+def class_keys_reference(dim, order):
+    """Flat position of sorted(idx) for every index tuple idx, in C order."""
+    tuples = [sorted(idx) for idx in itertools.product(range(dim), repeat=order)]
+    return np.ravel_multi_index(tuple(np.array(tuples).T), (dim,) * order)
+
+
+def _sorted_indices_reference(dim, order):
+    """(order, dim^order) sorted index columns, from np.indices and a generic sort."""
+    idx = np.indices((dim,) * order).reshape(order, -1)
+    return np.sort(idx, axis=0)
+
+
+def symmetrize_reference(raw):
+    """Permutation average as computed with a generic sort and four full-size gathers.
+
+    ``symmetrize`` must return these bytes for every input.
+    """
+    arr = np.asarray(raw, dtype=float)
+    shape = arr.shape
+    keys = np.ravel_multi_index(tuple(_sorted_indices_reference(shape[0], arr.ndim)), shape)
+    flat = arr.ravel()
+    counts = np.bincount(keys, minlength=flat.size)
+    sums = np.bincount(keys, weights=flat, minlength=flat.size)
+    rep = flat[keys]
+    constant = np.bincount(keys, weights=(flat == rep).astype(float), minlength=flat.size)
+    means = sums / np.maximum(counts, 1)
+    return np.where(constant[keys] == counts[keys], rep, means[keys]).reshape(shape)
+
+
+def formula_tensor_reference(kind, n, m):
+    """Entries of ex4, ex5 or ex6, each formula evaluated on the sorted 1-based indices."""
+    formulas = {
+        "ex4": lambda I: np.sin(I.sum(axis=0)),
+        "ex5": lambda I: np.tan(I).sum(axis=0),
+        "ex6": lambda I: ((-1.0) ** I / I).sum(axis=0),
+    }
+    return formulas[kind](_sorted_indices_reference(n, m) + 1).reshape((n,) * m)
+
+
 def min_eig_det_bisect(M, tol=1e-12):
     """Smallest eigenvalue by sign bisection on det(M - t I).
 

@@ -63,6 +63,13 @@ def test_solve_unknown_problem_and_solver(capsys):
     assert "error" in err
 
 
+def test_non_finite_tol_and_tau_are_usage_errors(capsys):
+    for flag, value in (("--tol", "nan"), ("--tol", "inf"), ("--tau", "nan")):
+        assert main(["solve", "--problem", "ex1", "--solver", "spg1", flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be finite and positive" in err
+
+
 def test_solve_bad_x0_length():
     assert main(["solve", "--problem", "ex1", "--x0", "1,1"]) == EXIT_USAGE
 

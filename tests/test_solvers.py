@@ -566,6 +566,15 @@ def test_config_validation():
         SolverConfig(rho=1.5)
     with pytest.raises(ValueError):
         SolverConfig(tau=-1.0)
+    # NaN compares False with everything, so "tol <= 0" alone let it through
+    # as a silent 500-iteration MaxIters, and tol=inf "converged" at k = 0.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolverConfig(tol=bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            SolverConfig(tau=bad)
+    with pytest.raises(ValueError, match="rho"):
+        SolverConfig(rho=math.nan)
 
 
 def test_paper_literal_safeguards_flag(ex1):

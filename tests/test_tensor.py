@@ -1,18 +1,28 @@
 import collections
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import teicp.solvers
-from helpers import ReduceTensor, dense_contract, fd_jacobian, rel_err
-from teicp.problems import build, parse_problem, random_start
+from helpers import (
+    ReduceTensor,
+    class_keys_reference,
+    dense_contract,
+    fd_jacobian,
+    formula_tensor_reference,
+    rel_err,
+    symmetrize_reference,
+)
+from teicp.problems import ProblemSpec, build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
     HIdentity,
     TensorOperator,
     ZIdentity,
+    _class_keys,
     diagonal_tensor,
     load_tensor_json,
     symmetrize,
@@ -110,6 +120,61 @@ def test_symmetrize_idempotent_exactly(rng):
     once = symmetrize(raw)
     twice = symmetrize(once)
     assert np.array_equal(once.entries, twice.entries)
+
+
+_KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(2, 8) if n**m <= 300_000]
+
+
+@pytest.mark.parametrize("n, m", _KEY_SHAPES)
+def test_class_keys_match_literal_oracle(n, m):
+    keys = _class_keys(n, m)
+    assert keys.dtype == np.intp
+    assert np.array_equal(keys, class_keys_reference(n, m))
+
+
+def _symmetrize_inputs(rng, n, m):
+    shape = (n,) * m
+    raw = rng.uniform(-1.0, 1.0, size=shape)
+    sparse = np.zeros(raw.size)
+    picked = rng.choice(raw.size, size=max(1, raw.size // 20), replace=False)
+    sparse[picked] = rng.standard_normal(picked.size)
+    return {
+        "random": raw,
+        "ties": np.round(raw * 2.0) / 4.0,
+        "symmetric": symmetrize_reference(raw),
+        "sparse": sparse.reshape(shape),
+    }
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 8) for m in range(2, 7) if n**m <= 50_000])
+def test_symmetrize_is_byte_equal_to_sort_reference(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    for kind, raw in _symmetrize_inputs(rng, n, m).items():
+        got = symmetrize(raw).entries
+        assert got.tobytes() == symmetrize_reference(raw).tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", ["ex4", "ex5", "ex6"])
+def test_formula_problems_are_byte_equal_to_sort_reference(kind):
+    shapes = [(n, 4) for n in range(1, 9)] + [(n, m) for n in range(1, 6) for m in (2, 6)]
+    for n, m in shapes:
+        A, _ = build(ProblemSpec(kind, n=n, m=m))
+        assert A.entries.tobytes() == formula_tensor_reference(kind, n, m).tobytes(), (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7)])
+def test_symmetrize_peak_allocation_is_bounded(n, m):
+    # Counted in units of one float64 copy of the tensor.  A materialized
+    # (m, n^m) index array and its sorted copy take 2m units on their own.
+    raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n,) * m)
+    tracemalloc.start()
+    try:
+        T = symmetrize(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.entries.shape == raw.shape
+    assert peak / raw.nbytes <= 7.0
 
 
 def test_symmetry_validation_rejects_asymmetric():
