@@ -27,7 +27,8 @@ from .tensor import (
     HIdentity,
     TensorOperator,
     ZIdentity,
-    _sorted_index_grids,
+    _class_ids,
+    _fresh_tensor,
     diagonal_tensor,
     symmetrize,
 )
@@ -113,12 +114,13 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def _from_symmetric_formula(n: int, m: int, fn) -> DenseSymmetricTensor:
-    # Evaluated on sorted index tuples so entries within a permutation class
-    # are bit-identical even when fn sums floats in index order.
+    # Evaluated once per permutation class, on its sorted index tuple, so
+    # entries within a class are bit-identical even when fn sums floats in
+    # index order.
     shape = (n,) * m
-    idx = np.stack(np.broadcast_arrays(*_sorted_index_grids(n, m)), dtype=np.intp)
-    vals = fn(idx.reshape(m, -1) + 1)
-    return DenseSymmetricTensor(vals.reshape(shape), validate=False)
+    ids, first = _class_ids(n, m)
+    vals = fn(np.stack(np.unravel_index(first, shape)) + 1)
+    return _fresh_tensor(vals[ids.reshape(shape)])
 
 
 def _ex1() -> DenseSymmetricTensor:

@@ -18,7 +18,9 @@ and return a :class:`SolverReport` with a per-iteration trace:
 
 All five run one driver loop, which owns the set-up, the evaluation of
 every point, the stop tests, the trace rows and the report; a small step
-rule measures each point and proposes the next one.  spg1 and spg2 share
+rule measures each point and proposes the next one.  A lambda or x change
+within tol stops a run only where the polished pair certifies at tol;
+elsewhere the run goes on.  spg1 and spg2 share
 the SPG rule and differ only in the trial point of the line search,
 x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa and
 spa share the power rule.
@@ -212,12 +214,18 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
         raise ValueError("x0 must be nonzero")
 
 
-def _report(A, B, lam, x, status, iters, trace, iterates, t0) -> SolverReport:
-    """Polish a converged endpoint, take the residual of the kept pair, and build the report."""
+def _report(A, B, lam, x, status, iters, trace, iterates, t0, polished=None) -> SolverReport:
+    """Polish a converged endpoint, take the residual of the kept pair, and build the report.
+
+    ``polished`` is the ``(lam, x, residual)`` the driver already took from
+    ``_polish`` at this endpoint; it is reported as it is.
+    """
     x = np.asarray(x, dtype=float)
     x_unit = x / np.linalg.norm(x)
     lam = float(lam)
-    if status is Status.CONVERGED:
+    if polished is not None:
+        lam, x_unit, res = polished
+    elif status is Status.CONVERGED:
         lam, x_unit, res = _polish(A, B, lam, x_unit)
     else:
         res = residual(A, B, lam, x_unit)
@@ -470,10 +478,11 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     The driver makes, evaluates and records every point; the rule measures
     the trace fields from that evaluation and proposes the next point.  The
     run then stops, in this order, on the rule's degenerate-direction
-    failure, on a lambda or x change within tol since the last iterate or
-    the rule's stationarity test, and at the iteration cap; otherwise the
-    rule steps.  A failed step ends the run at the current iterate, whose
-    trace row keeps the step the rule reports.  A point the merit cannot be
+    failure, on the rule's stationarity test, on a lambda or x change within
+    tol since the last iterate if the polished pair certifies at tol (the
+    report keeps that pair), and at the iteration cap; otherwise the rule
+    steps.  A failed step ends the run at the current iterate, whose trace
+    row keeps the step the rule reports.  A point the merit cannot be
     evaluated at (the start, a line-search trial or a new iterate) ends any
     solver with DomainError and step 0; at the start, the row holds the
     Rayleigh quotient of the projected x0, NaN where B x^m = 0.
@@ -493,7 +502,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             iterates.append(np.array(x, copy=True))
 
     x = project_sphere_plus(x0)
-    lam = x_prev = lam_prev = None
+    lam = x_prev = lam_prev = polished = None
     k = 0
     try:
         x_new = rule.start(x)
@@ -504,8 +513,16 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             stalled = x_prev is not None and (
                 abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
             )
-            if status is None and (stalled or rule.stationary(x, k)):
+            if status is None and rule.stationary(x, k):
                 status = Status.CONVERGED
+            elif status is None and stalled:
+                # A stall alone may sit at a point that is not stationary:
+                # stop only if the polished pair certifies, else go on.
+                polished = _polish(A, B, lam, x / np.linalg.norm(x))
+                if polished[2].max_violation() <= cfg.tol:
+                    status = Status.CONVERGED
+                else:
+                    polished = None
             if status is None and k >= cfg.max_iters:
                 status = Status.MAX_ITERS
             step = 0.0
@@ -523,7 +540,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             lam, fields = _safe_lambda(A, B, x), (float("nan"), float("nan"), 0.0, 0.0)
         status = Status.DOMAIN_ERROR
         record(k, lam, fields, 0.0, x)
-    return _report(A, B, lam, x, status, k, trace, iterates, t0)
+    return _report(A, B, lam, x, status, k, trace, iterates, t0, polished)
 
 
 def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -533,9 +550,9 @@ def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
     d_k = P(x_k + beta_k g_k) - x_k, and backtracks from a full step until
     f(x_k + alpha d_k) >= f(x_k) + rho alpha g_k . d_k.  Iterates are kept on
     the unit sphere (the merits are scale-invariant, so partial steps can be
-    renormalized without changing any merit value).  Stops when ||d_k|| drops
-    below tol, or when the step, the eigenvalue change, or the gradient norm
-    does.
+    renormalized without changing any merit value).  Stops when ||d_k|| or
+    the gradient norm drops below tol, or when the step or the eigenvalue
+    change does and the polished pair certifies at tol.
     """
     return _drive(A, B, x0, cfg, _SpgRule, curvilinear=False)
 
@@ -557,9 +574,10 @@ def spp(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = Non
 
     Each iteration shifts the gradient by r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), thresholds negatives to zero,
-    and renormalizes.  Stops when the thresholded direction norm or the
-    eigenvalue change drops below tol; an exactly-zero thresholded direction
-    is reported as a domain error rather than silently perturbed.
+    and renormalizes.  Stops when the thresholded direction norm drops below
+    tol, or when the step or the eigenvalue change does and the polished pair
+    certifies at tol; an exactly-zero thresholded direction is reported as a
+    domain error rather than silently perturbed.
     """
     return _drive(A, B, x0, cfg, _PowerRule, scaled=False, shifted=True)
 
@@ -570,8 +588,8 @@ def spa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = Non
     Iterates are kept on the scale B x^m = 1.  The residual gradient
     g_k = A x_k^{m-1} - lambda_k B x_k^{m-1} doubles as the step direction
     and, through its norm, the step length, so steps vanish near solutions
-    (slow final tail).  Stops when ||g_k||, the step, or the eigenvalue
-    change drops below tol.
+    (slow final tail).  Stops when ||g_k|| drops below tol, or when the step
+    or the eigenvalue change does and the polished pair certifies at tol.
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=False)
 
@@ -581,8 +599,9 @@ def sspa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = No
 
     Like spa but stepping along y_k + r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), which keeps the step length
-    bounded away from zero near solutions.  Stops once the eigenvalue
-    change between consecutive iterates is within tol.
+    bounded away from zero near solutions.  Stops when ||y_k|| drops below
+    tol, or when the step or the eigenvalue change does and the polished
+    pair certifies at tol.
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=True)
 

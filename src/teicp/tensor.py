@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,33 @@ def _sorted_index_grids(dim: int, order: int) -> list[np.ndarray]:
     return grids
 
 
-def _class_keys(dim: int, order: int) -> np.ndarray:
-    """Flat position of the sorted representative of every index tuple."""
-    grids = _sorted_index_grids(dim, order)
-    key = grids[0].astype(np.intp)
-    for s in grids[1:]:
-        key = key * dim + s
-    return np.broadcast_to(key, (dim,) * order).ravel()
+def _class_ids(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation class of every index tuple, and each class's first member.
+
+    Returns ``(ids, first)``.  ``ids`` holds, in flat order, the rank of each
+    tuple's sorted indices s_0 <= ... <= s_{m-1} in the combinatorial number
+    system, sum_k binom(s_k + k, k + 1), so two tuples share an id exactly
+    when one permutes the other, and the ids run over 0..C-1 with
+    C = binom(dim + order - 1, order).  ``first[c]`` is the flat position of
+    the first member of class c in flat order, which is its nondecreasing
+    tuple.
+    """
+    count = math.comb(dim + order - 1, order)
+    ids = np.zeros((dim,) * order, dtype=np.intp)
+    for k, s in enumerate(_sorted_index_grids(dim, order)):
+        # Every term is below the class count, so it is gathered in the
+        # smallest dtype that holds that count; only ids is a full intp array.
+        term = np.array([math.comb(v + k, k + 1) for v in range(dim)], dtype=np.min_scalar_type(count - 1))
+        ids += term[s]
+    axes = [np.arange(dim).reshape((1,) * k + (dim,) + (1,) * (order - 1 - k)) for k in range(order)]
+    nondecreasing = np.ones((1,) * order, dtype=bool)
+    for lo, hi in zip(axes, axes[1:]):
+        nondecreasing = nondecreasing & (lo <= hi)
+    ids = ids.ravel()
+    positions = np.flatnonzero(nondecreasing)
+    first = np.empty(count, dtype=np.intp)
+    first[ids[positions]] = positions
+    return ids, first
 
 
 class TensorOperator(abc.ABC):
@@ -101,11 +122,15 @@ class DenseSymmetricTensor(TensorOperator):
     a read-only (n^{m-2}, n^2) view of them for the contraction GEMV.
     Construction verifies that they are finite, and that they are invariant
     under index permutations unless ``validate=False`` (used internally where
-    symmetry holds by construction).
+    symmetry holds by construction).  A read-only array that owns its memory
+    is kept as it is; any other input is copied.
     """
 
     def __init__(self, entries, validate: bool = True):
-        arr = np.array(entries, dtype=float, copy=True)
+        arr = np.asarray(entries, dtype=float)
+        if arr.flags.writeable or arr.base is not None:
+            # The caller can still write to it, or to the memory it views.
+            arr = arr.copy()
         if arr.ndim < 2:
             raise ValueError("tensor order must be at least 2")
         if arr.shape[0] < 1 or any(s != arr.shape[0] for s in arr.shape):
@@ -244,6 +269,12 @@ class ZIdentity(TensorOperator):
         return (lead * np.eye(self.dim) + cross * np.outer(x, x)) / (m - 1)
 
 
+def _fresh_tensor(arr: np.ndarray) -> DenseSymmetricTensor:
+    """Wrap an array no one else holds, symmetric by construction, without a copy."""
+    arr.setflags(write=False)
+    return DenseSymmetricTensor(arr, validate=False)
+
+
 def symmetrize(raw) -> DenseSymmetricTensor:
     """Average a raw tensor over all index permutations.
 
@@ -256,15 +287,16 @@ def symmetrize(raw) -> DenseSymmetricTensor:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
-    keys = _class_keys(arr.shape[0], arr.ndim)
+    ids, first = _class_ids(arr.shape[0], arr.ndim)
     flat = arr.ravel()
-    # Per class, indexed by its representative: the representative's own value
-    # where every member equals it, else the mean summed in flat order.
-    counts = np.bincount(keys, minlength=flat.size)
-    sums = np.bincount(keys, weights=flat, minlength=flat.size)
-    constant = np.bincount(keys, weights=flat == flat[keys], minlength=flat.size) == counts
-    value = np.where(constant, flat, sums / np.maximum(counts, 1))
-    return DenseSymmetricTensor(value[keys].reshape(arr.shape), validate=False)
+    # Per class: the first member's own value where every member equals it,
+    # else the mean summed in flat order.
+    rep = flat[first]
+    counts = np.bincount(ids, minlength=first.size)
+    sums = np.bincount(ids, weights=flat, minlength=first.size)
+    constant = np.bincount(ids, weights=flat != rep[ids], minlength=first.size) == 0
+    value = np.where(constant, rep, sums / counts)
+    return _fresh_tensor(value[ids.reshape(arr.shape)])
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
@@ -274,7 +306,7 @@ def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
         raise ValueError("values must be a nonempty vector")
     arr = np.zeros((vals.size,) * order)
     arr[tuple(np.arange(vals.size) for _ in range(order))] = vals
-    return DenseSymmetricTensor(arr, validate=False)
+    return _fresh_tensor(arr)
 
 
 def _is_json_int(value) -> bool:
@@ -312,6 +344,7 @@ def tensor_from_json(doc: dict) -> DenseSymmetricTensor:
         raw[key] = float(item["val"])
     if doc.get("symmetrize", False):
         return symmetrize(raw)
+    raw.setflags(write=False)
     return DenseSymmetricTensor(raw)
 
 

@@ -17,7 +17,9 @@ rand:n=16,m=4,seed=0, rand:n=6,m=4 and rand:n=4,m=6.  Each start runs every
 solver under the Rayleigh merit, and spg1 and spg2 also under the log merit
 and with ``paper_literal_safeguards=True``.  Every run keeps its iterates.
 
-Each line holds the case key (problem, start, solver, config), the status,
+Each problem first gets a line with the sha256 digest of its tensor's
+entries, so the comparison covers the tensor builders too.  Each run's line
+holds the case key (problem, start, solver, config), the status,
 the iteration count, ``lam.hex()``, and sha256 digests of x, of the residual
 triple, of the trace rows and of the iterates.  A run that raises prints the
 exception's type in place of the report.  The run count goes to stderr.
@@ -79,6 +81,7 @@ def main() -> int:
     runs = 0
     for problem, count in PROBLEMS:
         A, B = build(parse_problem(problem))
+        print(f"{problem} entries {hashlib.sha256(A.entries.tobytes()).hexdigest()}")
         for r in range(count):
             x0 = random_start(A.dim, SEED + r)
             for config, (cfg, names) in CONFIGS.items():

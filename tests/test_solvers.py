@@ -512,6 +512,35 @@ def test_polish_stays_with_the_endpoint_eigenvalue(monkeypatch):
             assert max(dx for _, dx, _ in moves) > 0.1
 
 
+# Runs whose lambda or x change fell within tol at a point the polish could
+# not certify: ex3 corpus start #47, the cli-fresh ops of workload seed 101
+# (spg1, start seed = tensor seed) and rand-m4 seed 13's sspa op.
+_STALLS = [("ex3", 20287, "spg1", True), ("ex3", 20287, "spg2", True)]
+_STALLS += [(f"rand:n=16,m=4,seed={s}", s, "spg1", True) for s in (101000035, 101000109, 101000303, 101000691)]
+_STALLS += [("rand:n=20,m=4,seed=1", 13000223, "sspa", False)]
+
+
+@pytest.mark.parametrize("problem, start, name, certifies", _STALLS)
+def test_a_stall_stops_only_where_the_polish_certifies(problem, start, name, certifies, monkeypatch):
+    polished = []
+    polish = teicp.solvers._polish
+
+    def spy_polish(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
+    A, B = build(parse_problem(problem))
+    rep = SOLVERS[name](A, B, random_start(A.dim, start))
+    assert rep.status is (Status.CONVERGED if certifies else Status.MAX_ITERS)
+    # Every stall polished before the last was not certified, so the run went on.
+    assert polished and all(p[2].max_violation() > 1e-6 for p in polished[:-1])
+    if certifies:
+        assert is_pareto_eigenpair(A, B, rep.pair.lam, rep.pair.x, 1e-6)
+        # The report keeps the pair that certified the stop; it does not polish again.
+        assert rep.residual is polished[-1][2]
+
+
 def test_report_residual_is_computed_once_per_pair(monkeypatch):
     """A report evaluates the residual once for each pair it considers.
 

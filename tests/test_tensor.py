@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from teicp.tensor import (
     HIdentity,
     TensorOperator,
     ZIdentity,
-    _class_keys,
+    _class_ids,
     diagonal_tensor,
     load_tensor_json,
     symmetrize,
@@ -127,9 +128,14 @@ _KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(2, 8) if n**m <= 300_0
 
 @pytest.mark.parametrize("n, m", _KEY_SHAPES)
 def test_class_keys_match_literal_oracle(n, m):
-    keys = _class_keys(n, m)
-    assert keys.dtype == np.intp
-    assert np.array_equal(keys, class_keys_reference(n, m))
+    ids, first = _class_ids(n, m)
+    keys = class_keys_reference(n, m)
+    assert ids.dtype == first.dtype == np.intp
+    assert np.array_equal(np.unique(ids), np.arange(math.comb(n + m - 1, m)))
+    # first is one-to-one onto the positions that are their own literal key,
+    assert np.array_equal(np.sort(first), np.flatnonzero(keys == np.arange(keys.size)))
+    # so two positions share an id exactly when they share a literal key.
+    assert np.array_equal(first[ids], keys)
 
 
 def _symmetrize_inputs(rng, n, m):
@@ -162,19 +168,53 @@ def test_formula_problems_are_byte_equal_to_sort_reference(kind):
         assert A.entries.tobytes() == formula_tensor_reference(kind, n, m).tobytes(), (n, m)
 
 
-@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7)])
-def test_symmetrize_peak_allocation_is_bounded(n, m):
-    # Counted in units of one float64 copy of the tensor.  A materialized
-    # (m, n^m) index array and its sorted copy take 2m units on their own.
-    raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n,) * m)
+def _peak_units(build_tensor, n, m):
+    """tracemalloc peak of a build, in units of one float64 copy of the (n,) * m tensor.
+
+    A materialized (m, n^m) index array and its sorted copy take 2m units on
+    their own.
+    """
     tracemalloc.start()
     try:
-        T = symmetrize(raw)
+        T = build_tensor()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert T.entries.shape == raw.shape
-    assert peak / raw.nbytes <= 7.0
+    assert T.entries.shape == (n,) * m
+    return peak / (8 * n**m)
+
+
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7)])
+def test_symmetrize_peak_allocation_is_bounded(n, m):
+    raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n,) * m)
+    assert _peak_units(lambda: symmetrize(raw), n, m) <= 4.0
+
+
+@pytest.mark.parametrize("kind", ["ex4", "ex5", "ex6"])
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6)])
+def test_formula_problem_peak_allocation_is_bounded(kind, n, m):
+    assert _peak_units(lambda: build(ProblemSpec(kind, n=n, m=m))[0], n, m) <= 4.0
+
+
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6)])
+def test_json_symmetrize_peak_allocation_is_bounded(n, m):
+    # The placed raw array is one of the units.
+    rng = np.random.default_rng(1)
+    listed = np.unravel_index(rng.choice(n**m, size=50, replace=False), (n,) * m)
+    entries = [{"idx": [int(i) + 1 for i in idx], "val": 0.5} for idx in zip(*listed)]
+    doc = {"order": m, "dim": n, "entries": entries, "symmetrize": True}
+    assert _peak_units(lambda: tensor_from_json(doc), n, m) <= 4.0
+
+
+def test_built_tensors_are_not_copied_and_caller_arrays_are():
+    T = symmetrize(np.ones((3,) * 4))
+    assert DenseSymmetricTensor(T.entries).entries is T.entries
+    raw = np.ones((3,) * 4)
+    view = raw.view()
+    view.setflags(write=False)
+    tensors = [DenseSymmetricTensor(raw), DenseSymmetricTensor(view)]
+    raw[0, 0, 0, 0] = 2.0
+    assert [U.entries[0, 0, 0, 0] for U in tensors] == [1.0, 1.0]
 
 
 def test_symmetry_validation_rejects_asymmetric():
