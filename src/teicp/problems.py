@@ -17,7 +17,6 @@ tensor for property testing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ __all__ = ["ProblemSpec", "parse_problem", "build", "random_symmetric", "random_
 _Z_PROBLEMS = ("ex1", "ex2", "ex3", "rand")
 _H_PROBLEMS = ("ex4", "ex5", "ex6")
 
-# The 15 distinct index classes of a symmetric order-4 dim-3 tensor.  Each
-# value is replicated to every permutation of its index multiset.
+# The 15 distinct index classes of a symmetric order-4 dim-3 tensor, keyed by
+# their nondecreasing 1-based index tuples.
 _EX1_CLASSES = {
     (1, 1, 1, 1): 0.2883,
     (1, 1, 1, 2): -0.0031,
@@ -123,14 +122,6 @@ def _from_symmetric_formula(n: int, m: int, fn) -> DenseSymmetricTensor:
     return _fresh_tensor(vals[ids.reshape(shape)])
 
 
-def _ex1() -> DenseSymmetricTensor:
-    arr = np.zeros((3, 3, 3, 3))
-    for idx, val in _EX1_CLASSES.items():
-        for perm in set(itertools.permutations(idx)):
-            arr[tuple(i - 1 for i in perm)] = val
-    return DenseSymmetricTensor(arr)
-
-
 def _ex3() -> DenseSymmetricTensor:
     arr = np.zeros((3, 3, 3, 3))
     for idx, val in _EX3_ENTRIES.items():
@@ -142,7 +133,7 @@ def build(spec: ProblemSpec) -> tuple[DenseSymmetricTensor, TensorOperator]:
     """Materialize (A, B) for a problem spec."""
     n, m = spec.n, spec.m
     if spec.kind == "ex1":
-        A = _ex1()
+        A = _from_symmetric_formula(3, 4, lambda I: np.array([_EX1_CLASSES[c] for c in zip(*I.tolist())]))
     elif spec.kind == "ex2":
         A = diagonal_tensor([(i - 1.0) / i for i in range(1, n + 1)], m)
     elif spec.kind == "ex3":

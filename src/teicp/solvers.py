@@ -18,12 +18,17 @@ and return a :class:`SolverReport` with a per-iteration trace:
 
 All five run one driver loop, which owns the set-up, the evaluation of
 every point, the stop tests, the trace rows and the report; a small step
-rule measures each point and proposes the next one.  A lambda or x change
-within tol stops a run only where the polished pair certifies at tol;
-elsewhere the run goes on.  spg1 and spg2 share
-the SPG rule and differ only in the trial point of the line search,
-x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa and
-spa share the power rule.
+rule measures each point, says whether it is stationary, and proposes the
+next one.  spg1 and spg2 share the SPG rule and differ only in the trial
+point of the line search, x_k + alpha d_k (renormalized) versus
+P(x_k + alpha g_k); spp, sspa and spa share the power rule.
+
+One stop rule serves all five.  A point is a candidate stop when the
+rule's own stationarity test fires or when lambda or x changed by at most
+tol since the last iterate.  There the driver polishes (lambda, x / ||x||)
+and stops Converged, reporting the polished pair, only if that pair
+certifies at tol; elsewhere the run goes on.  So every Converged report
+certifies at tol.
 
 The spectral (Barzilai-Borwein) step length beta = <s, s> / <s, y> drives
 both SPG variants, clamped to safeguards.  Because the solvers maximize,
@@ -214,42 +219,16 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
         raise ValueError("x0 must be nonzero")
 
 
-def _report(A, B, lam, x, status, iters, trace, iterates, t0, polished=None) -> SolverReport:
-    """Polish a converged endpoint, take the residual of the kept pair, and build the report.
-
-    ``polished`` is the ``(lam, x, residual)`` the driver already took from
-    ``_polish`` at this endpoint; it is reported as it is.
-    """
-    x = np.asarray(x, dtype=float)
-    x_unit = x / np.linalg.norm(x)
-    lam = float(lam)
-    if polished is not None:
-        lam, x_unit, res = polished
-    elif status is Status.CONVERGED:
-        lam, x_unit, res = _polish(A, B, lam, x_unit)
-    else:
-        res = residual(A, B, lam, x_unit)
-    return SolverReport(
-        pair=EigenPair(lam=lam, x=x_unit),
-        status=status,
-        iters=iters,
-        residual=res,
-        trace=trace,
-        wall_time=time.perf_counter() - t0,
-        iterates=iterates,
-    )
-
-
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
 _POLISH_NEWTON_STEPS = 25
 
 
 def _polish(A, B, lam, x, target: float = 1e-10):
-    """Sharpen a converged endpoint by Newton steps on its active face.
+    """Sharpen a candidate stop by Newton steps on its active face.
 
     The loose stopping rules of the iterative schemes leave the endpoint a
     few digits short of a certified eigenpair.  Converged status promises a
-    pair whose complementarity residuals actually verify, so the reported
+    pair whose complementarity residuals actually verify, so the candidate
     pair is refined: detect the support, solve the face-restricted system
     A_I z^{m-1} - lam B_I z^{m-1} = 0, ||z|| = 1 by Newton, and keep the
     result only if it is feasible and strictly reduces the residual.  Newton
@@ -264,8 +243,8 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     genuine coordinates the 1e-4 cut drops.  Two cuts often give the same
     face; Newton runs on each face once, since a second run from the same
     (lam, x) would only repeat the first candidate.  Returns
-    ``(lam, x, residual)`` for the pair it keeps, so the report reuses that
-    residual triple.
+    ``(lam, x, residual)`` for the pair it keeps, so a certified stop reports
+    that residual triple as it is.
     """
     best = (lam, x, residual(A, B, lam, x))
     best_viol = best[2].max_violation()
@@ -361,9 +340,11 @@ class _SpgRule:
     and renormalizes the accepted point; spg2 (``curvilinear=True``) tries
     P(x + alpha g) from alpha = beta and uses the gradient-scaled BB band.
     The measure reads the merit value and gradient from the driver's
-    evaluation and makes the Barzilai-Borwein update from the last measured
-    (x, g); the line search computes only merit values, and a trial point
-    outside the merit's domain raises to the driver.
+    evaluation, makes the Barzilai-Borwein update from the last measured
+    (x, g) and projects the direction d; the point is stationary when ||d||
+    or, after the start, ||g|| is within tol.  The line search computes only
+    merit values, and a trial point outside the merit's domain raises to the
+    driver.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, curvilinear: bool):
@@ -376,21 +357,18 @@ class _SpgRule:
     def measure(self, x, ev):
         g = ev.gradient
         gnorm = float(np.linalg.norm(g))
-        if self.x is None:
+        start = self.x is None
+        if start:
             self.beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
         else:
             lo, hi = _bb_bounds(gnorm, self.cfg.paper_literal_safeguards or self.curvilinear)
             # Maximizing f is minimizing -f, whose gradient difference is
             # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
             self.beta = _bb_clamped(x - self.x, self.g - g, lo, hi)
-        self.x, self.g, self.val, self.gnorm = x, g, ev.value, gnorm
-        return (ev.value, gnorm, self.beta, 0.0), None
-
-    def stationary(self, x, k) -> bool:
-        if k and self.gnorm <= self.cfg.tol:
-            return True
-        self.d = project_sphere_plus(x + self.beta * self.g) - x
-        return float(np.linalg.norm(self.d)) < self.cfg.tol
+        self.x, self.g, self.val = x, g, ev.value
+        self.d = project_sphere_plus(x + self.beta * g) - x
+        stationary = (not start and gnorm <= self.cfg.tol) or float(np.linalg.norm(self.d)) < self.cfg.tol
+        return (ev.value, gnorm, self.beta, 0.0), None, stationary
 
     def step(self, x):
         cfg, g, val = self.cfg, self.g, self.val
@@ -421,7 +399,9 @@ class _PowerRule:
     orthant and renormalized.  Scaled (sspa, and spa with r = 0): iterates sit
     on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
     by a step length equal to its norm, before rescaling.  The measure reads
-    the gradient, y and the Hessian from the driver's evaluation of the point.
+    the gradient, y and the Hessian from the driver's evaluation of the point;
+    the point is stationary when the thresholded direction (spp) or y (spa,
+    sspa) is within tol.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -453,12 +433,9 @@ class _PowerRule:
         self.ascent = ascent
         self.length = gnorm if ascent is g else float(np.linalg.norm(ascent))
         # spp stops on its thresholded direction, spa and sspa on the residual.
-        self.stop_norm = gnorm if self.scaled else self.length
+        stationary = (gnorm if self.scaled else self.length) <= self.cfg.tol
         degenerate = not self.scaled and self.length == 0.0
-        return (ev.lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None
-
-    def stationary(self, x, k) -> bool:
-        return self.stop_norm <= self.cfg.tol
+        return (ev.lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None, stationary
 
     def step(self, x):
         if not self.scaled:
@@ -476,16 +453,18 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     """The one loop every solver runs; ``rule_type(A, B, cfg, **flags)`` steps.
 
     The driver makes, evaluates and records every point; the rule measures
-    the trace fields from that evaluation and proposes the next point.  The
-    run then stops, in this order, on the rule's degenerate-direction
-    failure, on the rule's stationarity test, on a lambda or x change within
-    tol since the last iterate if the polished pair certifies at tol (the
-    report keeps that pair), and at the iteration cap; otherwise the rule
-    steps.  A failed step ends the run at the current iterate, whose trace
-    row keeps the step the rule reports.  A point the merit cannot be
-    evaluated at (the start, a line-search trial or a new iterate) ends any
-    solver with DomainError and step 0; at the start, the row holds the
-    Rayleigh quotient of the projected x0, NaN where B x^m = 0.
+    the trace fields from that evaluation, says whether the point is
+    stationary, and proposes the next point.  The run then stops, in this
+    order, on the rule's degenerate-direction failure, at a candidate stop
+    (stationary, or a lambda or x change within tol since the last iterate)
+    whose polished pair certifies at tol, and at the iteration cap;
+    otherwise the rule steps.  A failed step ends the run at the current
+    iterate, whose trace row keeps the step the rule reports.  A point the
+    merit cannot be evaluated at (the start, a line-search trial or a new
+    iterate) ends any solver with DomainError and step 0; at the start, the
+    row holds the Rayleigh quotient of the projected x0, NaN where
+    B x^m = 0.  A Converged report keeps the certified pair and its residual
+    triple; any other report keeps the unit endpoint and its residual.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -502,27 +481,23 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             iterates.append(np.array(x, copy=True))
 
     x = project_sphere_plus(x0)
-    lam = x_prev = lam_prev = polished = None
+    lam = x_prev = lam_prev = kept = None
     k = 0
     try:
         x_new = rule.start(x)
         ev = evaluate(A, B, x_new, cfg.merit)
         while True:
             x, lam = x_new, ev.lam
-            fields, status = rule.measure(x, ev)
+            fields, status, stationary = rule.measure(x, ev)
             stalled = x_prev is not None and (
                 abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
             )
-            if status is None and rule.stationary(x, k):
-                status = Status.CONVERGED
-            elif status is None and stalled:
-                # A stall alone may sit at a point that is not stationary:
-                # stop only if the polished pair certifies, else go on.
-                polished = _polish(A, B, lam, x / np.linalg.norm(x))
+            if status is None and (stationary or stalled):
+                # Neither test proves the pair is an eigenpair: stop only if
+                # the polished pair certifies, else go on.
+                polished = _polish(A, B, float(lam), x / np.linalg.norm(x))
                 if polished[2].max_violation() <= cfg.tol:
-                    status = Status.CONVERGED
-                else:
-                    polished = None
+                    status, kept = Status.CONVERGED, polished
             if status is None and k >= cfg.max_iters:
                 status = Status.MAX_ITERS
             step = 0.0
@@ -540,7 +515,20 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             lam, fields = _safe_lambda(A, B, x), (float("nan"), float("nan"), 0.0, 0.0)
         status = Status.DOMAIN_ERROR
         record(k, lam, fields, 0.0, x)
-    return _report(A, B, lam, x, status, k, trace, iterates, t0, polished)
+    if kept is None:
+        x = x / np.linalg.norm(x)
+        lam = float(lam)
+        kept = (lam, x, residual(A, B, lam, x))
+    lam, x, res = kept
+    return SolverReport(
+        pair=EigenPair(lam=lam, x=x),
+        status=status,
+        iters=k,
+        residual=res,
+        trace=trace,
+        wall_time=time.perf_counter() - t0,
+        iterates=iterates,
+    )
 
 
 def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = None) -> SolverReport:
@@ -550,9 +538,8 @@ def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
     d_k = P(x_k + beta_k g_k) - x_k, and backtracks from a full step until
     f(x_k + alpha d_k) >= f(x_k) + rho alpha g_k . d_k.  Iterates are kept on
     the unit sphere (the merits are scale-invariant, so partial steps can be
-    renormalized without changing any merit value).  Stops when ||d_k|| or
-    the gradient norm drops below tol, or when the step or the eigenvalue
-    change does and the polished pair certifies at tol.
+    renormalized without changing any merit value).  Its stationarity test
+    is ||d_k|| or the gradient norm below tol.
     """
     return _drive(A, B, x0, cfg, _SpgRule, curvilinear=False)
 
@@ -562,9 +549,8 @@ def spg2(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
 
     The trial point x_+ = P(x_k + alpha g_k) is re-projected at every trial
     step length, and accepted once
-    f(x_+) >= f(x_k) + rho alpha g_k . (x_+ - x_k).  Stops when the
-    projected-gradient displacement P(x_k + beta_k g_k) - x_k drops below
-    tol, or on the same step / eigenvalue / gradient tests as spg1.
+    f(x_+) >= f(x_k) + rho alpha g_k . (x_+ - x_k).  Its stationarity test
+    is spg1's.
     """
     return _drive(A, B, x0, cfg, _SpgRule, curvilinear=True)
 
@@ -574,9 +560,8 @@ def spp(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = Non
 
     Each iteration shifts the gradient by r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), thresholds negatives to zero,
-    and renormalizes.  Stops when the thresholded direction norm drops below
-    tol, or when the step or the eigenvalue change does and the polished pair
-    certifies at tol; an exactly-zero thresholded direction is reported as a
+    and renormalizes.  Its stationarity test is the thresholded direction
+    norm below tol; an exactly-zero thresholded direction is reported as a
     domain error rather than silently perturbed.
     """
     return _drive(A, B, x0, cfg, _PowerRule, scaled=False, shifted=True)
@@ -588,8 +573,7 @@ def spa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = Non
     Iterates are kept on the scale B x^m = 1.  The residual gradient
     g_k = A x_k^{m-1} - lambda_k B x_k^{m-1} doubles as the step direction
     and, through its norm, the step length, so steps vanish near solutions
-    (slow final tail).  Stops when ||g_k|| drops below tol, or when the step
-    or the eigenvalue change does and the polished pair certifies at tol.
+    (slow final tail).  Its stationarity test is ||g_k|| below tol.
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=False)
 
@@ -599,9 +583,8 @@ def sspa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = No
 
     Like spa but stepping along y_k + r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), which keeps the step length
-    bounded away from zero near solutions.  Stops when ||y_k|| drops below
-    tol, or when the step or the eigenvalue change does and the polished
-    pair certifies at tol.
+    bounded away from zero near solutions.  Its stationarity test is ||y_k||
+    below tol.
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=True)
 

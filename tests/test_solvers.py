@@ -28,7 +28,7 @@ from teicp.solvers import (
     spp,
     sspa,
 )
-from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
+from teicp.tensor import DenseSymmetricTensor, HIdentity, ZIdentity, diagonal_tensor
 from teicp.verify import is_pareto_eigenpair
 
 
@@ -541,16 +541,34 @@ def test_a_stall_stops_only_where_the_polish_certifies(problem, start, name, cer
         assert rep.residual is polished[-1][2]
 
 
-def test_report_residual_is_computed_once_per_pair(monkeypatch):
-    """A report evaluates the residual once for each pair it considers.
+@pytest.mark.parametrize("scale", [2.0**40, 1e12])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_converged_always_certifies_at_tol(scale, name, ex1):
+    """A stationarity test that fires where the pair does not certify does not stop the run.
 
-    That is the endpoint, plus each face candidate Newton returns when the
-    run converged; the polish hands the kept pair's triple to the report.
+    On ex1 scaled by 2^40 or 1e12, spg1 and spg2 become stationary by their
+    own tests at pairs whose residuals are 2.4e-5 to 2.4e-4: at 2^40 spg1
+    goes on to a pair that certifies, and at 1e12 spg1 and spg2 run to the cap.
+    """
+    A, B = ex1
+    cfg = SolverConfig()
+    rep = SOLVERS[name](DenseSymmetricTensor(A.entries * scale), B, np.ones(3), cfg)
+    assert rep.status is not Status.CONVERGED or rep.residual.max_violation() <= cfg.tol
+
+
+def test_report_residual_is_computed_once_per_pair(monkeypatch):
+    """A run evaluates the residual once for each pair it considers.
+
+    Every polish evaluates its endpoint and each face candidate Newton
+    returns.  A Converged report keeps the triple of the polish that
+    certified; any other report evaluates its endpoint once more.
     """
     calls = []
     candidates = []
+    polishes = []
     residual = teicp.solvers.residual
     newton_face = teicp.solvers._newton_face
+    polish = teicp.solvers._polish
 
     def counting_residual(*args):
         calls.append(1)
@@ -561,31 +579,42 @@ def test_report_residual_is_computed_once_per_pair(monkeypatch):
         candidates.append(pair is not None)
         return pair
 
+    def counting_polish(*args):
+        polishes.append(1)
+        return polish(*args)
+
     monkeypatch.setattr(teicp.solvers, "residual", counting_residual)
     monkeypatch.setattr(teicp.solvers, "_newton_face", counting_newton_face)
+    monkeypatch.setattr(teicp.solvers, "_polish", counting_polish)
     statuses = set()
     polished = 0
+    uncertified_polishes = 0
     # B x^m = 0 at [1, 1] makes the domain errors
     cases = [((HIdentity(4, 2), diagonal_tensor([1.0, -1.0], 4)), np.array([1.0, 1.0]))]
     for problem in ("ex1", "ex2:n=5", "ex3", "ex4:n=5"):
         A, B = build(parse_problem(problem))
         cases += [((A, B), random_start(A.dim, 20240 + r)) for r in range(6)]
+    # spg1 and spg2 pass stationary points that do not certify here, and end at the cap.
+    A, B = build(parse_problem("ex1"))
+    cases.append(((DenseSymmetricTensor(A.entries * 1e12), B), np.ones(3)))
     for (A, B), x0 in cases:
         for max_iters in (3, 500):
             for name, solver in SOLVERS.items():
                 calls.clear()
                 candidates.clear()
+                polishes.clear()
                 rep = solver(A, B, x0, SolverConfig(max_iters=max_iters))
                 statuses.add(rep.status)
-                want = 1
+                want = len(polishes) + sum(candidates)
                 if rep.status is Status.CONVERGED:
-                    want += sum(candidates)
                     polished += sum(candidates)
                 else:
-                    assert not candidates, (name, rep.status)
+                    want += 1
+                    uncertified_polishes += len(polishes)
                 assert len(calls) == want, (name, rep.status)
     assert statuses == set(Status)
     assert polished > 0
+    assert uncertified_polishes > 0
 
 
 def test_config_validation():
