@@ -8,8 +8,9 @@ and the Rayleigh Hessian are exact closed forms.  Whatever the merit, the
 eigenvalue reported downstream is always the Rayleigh quotient, so runs under
 either merit stay directly comparable.
 
-:func:`evaluate` is the one place that contracts the pair at a point; the
-gradient and Hessian functions are views of its result.
+:func:`evaluate` is the one place that contracts the pair at a point, with
+one ``contract_m_minus_1_and_m`` call per operator; the gradient and Hessian
+functions are views of its result.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ class SingularDenominatorError(ZeroDivisionError):
 
 
 class MeritDomainError(ValueError):
-    """Logarithmic merit evaluated where A x^m or B x^m is not positive."""
+    """A merit evaluated outside its domain.
+
+    The Rayleigh quotient is not finite there, or the logarithmic merit
+    meets A x^m or B x^m not positive.
+    """
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,9 @@ class MeritEval:
         """Exact Hessian of the Rayleigh quotient (symmetric by construction)."""
         A, B, x, axm, bxm, axm1, bxm1 = self._at
         m = A.order
-        cross = np.outer(axm1, bxm1)
+        cross = np.multiply.outer(axm1, bxm1)
         cross = cross + cross.T
-        bb = np.outer(bxm1, bxm1)
+        bb = np.multiply.outer(bxm1, bxm1)
         return (
             (m * (m - 1) / bxm) * A.contract_m_minus_2(x)
             - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / bxm**2
@@ -86,8 +91,7 @@ def _pair_check(A: TensorOperator, B: TensorOperator) -> None:
         )
 
 
-def _denominator(B: TensorOperator, x) -> float:
-    bxm = B.contract_m(x)
+def _denominator(bxm: float) -> float:
     if bxm == 0.0:
         raise SingularDenominatorError("B x^m = 0: Rayleigh quotient undefined")
     return bxm
@@ -103,7 +107,7 @@ def _log_domain(axm: float, bxm: float) -> None:
 def rayleigh_value(A: TensorOperator, B: TensorOperator, x) -> float:
     """Generalized Rayleigh quotient A x^m / B x^m."""
     _pair_check(A, B)
-    return A.contract_m(x) / _denominator(B, x)
+    return A.contract_m(x) / _denominator(B.contract_m(x))
 
 
 def rayleigh_gradient(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
@@ -130,14 +134,19 @@ def log_value(A: TensorOperator, B: TensorOperator, x) -> float:
 
 
 def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKind.RAYLEIGH) -> MeritEval:
-    """Evaluate the chosen merit at x, contracting each operator once per power."""
+    """Evaluate the chosen merit at x, with one fused contraction per operator.
+
+    Raises :class:`SingularDenominatorError` where B x^m = 0, and
+    :class:`MeritDomainError` where the Rayleigh quotient is not finite or,
+    under the logarithmic merit, where A x^m or B x^m is not positive.
+    """
     _pair_check(A, B)
-    axm = A.contract_m(x)
-    bxm = _denominator(B, x)
-    lam = axm / bxm
+    axm1, axm = A.contract_m_minus_1_and_m(x)
+    bxm1, bxm = B.contract_m_minus_1_and_m(x)
+    lam = axm / _denominator(bxm)
+    if not math.isfinite(lam):
+        raise MeritDomainError(f"Rayleigh quotient is not finite: A x^m = {axm}, B x^m = {bxm}")
     m = A.order
-    axm1 = A.contract_m_minus_1(x)
-    bxm1 = B.contract_m_minus_1(x)
     y = axm1 - lam * bxm1
     at = (A, B, x, axm, bxm, axm1, bxm1)
     if kind is MeritKind.RAYLEIGH:

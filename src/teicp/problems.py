@@ -11,8 +11,8 @@ sphere identity, ex4-ex6 with the diagonal identity:
 * ex5: a_{ijkl} = tan(i) + tan(j) + tan(k) + tan(l).
 * ex6: a_{ijkl} = (-1)^i / i + (-1)^j / j + (-1)^k / k + (-1)^l / l.
 
-Formula indices are 1-based.  ``rand`` builds a seeded random symmetric
-tensor for property testing.
+ex1 and ex3 exist only at n = 3 and m = 4.  Formula indices are 1-based.
+``rand`` builds a seeded random symmetric tensor for property testing.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind in ("ex1", "ex3") and self.n != 3:
             raise ValueError(f"{self.kind} is fixed at dimension 3")
+        if self.kind in ("ex1", "ex3") and self.m != 4:
+            raise ValueError(f"{self.kind} is fixed at order 4, got m={self.m}")
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.m < 2 or self.m % 2:

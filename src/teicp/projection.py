@@ -8,6 +8,8 @@ when thresholding annihilates the vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import TensorOperator
@@ -17,6 +19,15 @@ __all__ = ["ScalingError", "project_sphere_plus", "project_orthant", "b_normaliz
 
 class ScalingError(ValueError):
     """B u^m <= 0: the scaling normalization is undefined along u."""
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous real vector.
+
+    This is ``np.linalg.norm``'s own formula for it, sqrt(v . v), so the
+    result has the same bits, without that function's dispatch.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def project_sphere_plus(v) -> np.ndarray:
@@ -30,7 +41,7 @@ def project_sphere_plus(v) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
     clipped = np.maximum(v, 0.0)
-    nrm = np.linalg.norm(clipped)
+    nrm = _norm(clipped)
     if nrm == 0.0:
         out = np.zeros_like(v)
         out[int(np.argmax(v))] = 1.0

@@ -57,7 +57,7 @@ from .merit import (
 # No solver calls these views of ``evaluate``; bench/tracer.py looks them up
 # here by name, so they stay importable from this module.
 from .merit import rayleigh_gradient, rayleigh_hessian  # noqa: F401
-from .projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
+from .projection import ScalingError, _norm, b_normalize, project_orthant, project_sphere_plus
 from .tensor import TensorOperator
 from .verify import ResidualTriple, residual
 
@@ -84,6 +84,8 @@ BETA_MIN = 1e-10
 BETA_MAX = 1e10
 
 _DOMAIN_ERRORS = (MeritDomainError, SingularDenominatorError, ScalingError)
+# The trace fields of a point whose evaluation or measure raised.
+_UNMEASURED = (float("nan"), float("nan"), 0.0, 0.0)
 
 
 class Status(Enum):
@@ -280,13 +282,13 @@ def _newton_face(A, B, lam, x, support):
     k = support.size
     face = np.ix_(support, support)
     z = np.zeros(A.dim)
-    z[support] = x[support] / np.linalg.norm(x[support])
+    z[support] = x[support] / _norm(x[support])
     lam_z = float(lam)
     for _ in range(_POLISH_NEWTON_STEPS):
         bz = B.contract_m_minus_1(z)[support]
         zs = z[support]
         fval = np.append(A.contract_m_minus_1(z)[support] - lam_z * bz, 0.5 * (float(zs @ zs) - 1.0))
-        if float(np.linalg.norm(fval)) <= 1e-13 * max(1.0, abs(lam_z)):
+        if _norm(fval) <= 1e-13 * max(1.0, abs(lam_z)):
             break
         jac = np.zeros((k + 1, k + 1))
         jac[:k, :k] = (m - 1) * (A.contract_m_minus_2(z)[face] - lam_z * B.contract_m_minus_2(z)[face])
@@ -305,7 +307,7 @@ def _newton_face(A, B, lam, x, support):
             return None
     if np.any(z[support] <= 0.0):
         return None
-    return lam_z, z / np.linalg.norm(z)
+    return lam_z, z / _norm(z)
 
 
 def _safe_lambda(A, B, x) -> float:
@@ -356,7 +358,7 @@ class _SpgRule:
 
     def measure(self, x, ev):
         g = ev.gradient
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         start = self.x is None
         if start:
             self.beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
@@ -367,7 +369,7 @@ class _SpgRule:
             self.beta = _bb_clamped(x - self.x, self.g - g, lo, hi)
         self.x, self.g, self.val = x, g, ev.value
         self.d = project_sphere_plus(x + self.beta * g) - x
-        stationary = (not start and gnorm <= self.cfg.tol) or float(np.linalg.norm(self.d)) < self.cfg.tol
+        stationary = (not start and gnorm <= self.cfg.tol) or _norm(self.d) < self.cfg.tol
         return (ev.value, gnorm, self.beta, 0.0), None, stationary
 
     def step(self, x):
@@ -389,7 +391,7 @@ class _SpgRule:
             alpha = _shrink(alpha, val, f_trial, model_slope)
         else:
             return None, 0.0, Status.LINE_SEARCH_FAILURE
-        return (trial if self.curvilinear else trial / np.linalg.norm(trial)), alpha, None
+        return (trial if self.curvilinear else trial / _norm(trial)), alpha, None
 
 
 class _PowerRule:
@@ -422,6 +424,8 @@ class _PowerRule:
         ascent = g
         if self.shifted:
             H = ev.rayleigh_hessian()
+            if not np.isfinite(H).all():
+                raise MeritDomainError("the Rayleigh Hessian for the shift is not finite")
             # The scaled step field is y, not the full Rayleigh gradient
             # m y / B x^m, so the curvature matrix for the shift is its
             # Jacobian, which at the B x^m = 1 scale equals H / m.
@@ -429,9 +433,9 @@ class _PowerRule:
             ascent = g + shift * m * x
         if not self.scaled:
             ascent = project_orthant(ascent)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         self.ascent = ascent
-        self.length = gnorm if ascent is g else float(np.linalg.norm(ascent))
+        self.length = gnorm if ascent is g else _norm(ascent)
         # spp stops on its thresholded direction, spa and sspa on the residual.
         stationary = (gnorm if self.scaled else self.length) <= self.cfg.tol
         degenerate = not self.scaled and self.length == 0.0
@@ -461,10 +465,12 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     otherwise the rule steps.  A failed step ends the run at the current
     iterate, whose trace row keeps the step the rule reports.  A point the
     merit cannot be evaluated at (the start, a line-search trial or a new
-    iterate) ends any solver with DomainError and step 0; at the start, the
-    row holds the Rayleigh quotient of the projected x0, NaN where
-    B x^m = 0.  A Converged report keeps the certified pair and its residual
-    triple; any other report keeps the unit endpoint and its residual.
+    iterate), which includes a non-finite Rayleigh quotient, ends any solver
+    with DomainError and step 0, as does a non-finite shift Hessian; at the
+    start, the row holds the Rayleigh quotient of the projected x0, NaN where
+    B x^m = 0, and a point whose measure raised gets NaN merit fields.  A
+    Converged report keeps the certified pair and its residual triple; any
+    other report keeps the unit endpoint and its residual.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -482,20 +488,22 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
 
     x = project_sphere_plus(x0)
     lam = x_prev = lam_prev = kept = None
+    fields = _UNMEASURED
     k = 0
     try:
         x_new = rule.start(x)
         ev = evaluate(A, B, x_new, cfg.merit)
         while True:
             x, lam = x_new, ev.lam
+            fields = _UNMEASURED  # until the measure returns
             fields, status, stationary = rule.measure(x, ev)
             stalled = x_prev is not None and (
-                abs(lam - lam_prev) <= cfg.tol or float(np.linalg.norm(x - x_prev)) <= cfg.tol
+                abs(lam - lam_prev) <= cfg.tol or _norm(x - x_prev) <= cfg.tol
             )
             if status is None and (stationary or stalled):
                 # Neither test proves the pair is an eigenpair: stop only if
                 # the polished pair certifies, else go on.
-                polished = _polish(A, B, float(lam), x / np.linalg.norm(x))
+                polished = _polish(A, B, float(lam), x / _norm(x))
                 if polished[2].max_violation() <= cfg.tol:
                     status, kept = Status.CONVERGED, polished
             if status is None and k >= cfg.max_iters:
@@ -512,11 +520,11 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             k += 1
     except _DOMAIN_ERRORS:
         if lam is None:  # the start itself could not be evaluated
-            lam, fields = _safe_lambda(A, B, x), (float("nan"), float("nan"), 0.0, 0.0)
+            lam = _safe_lambda(A, B, x)
         status = Status.DOMAIN_ERROR
         record(k, lam, fields, 0.0, x)
     if kept is None:
-        x = x / np.linalg.norm(x)
+        x = x / _norm(x)
         lam = float(lam)
         kept = (lam, x, residual(A, B, lam, x))
     lam, x, res = kept

@@ -12,6 +12,10 @@ result for the last point it was asked about, so the three contractions at
 the same point share that pass: T x^{m-1} = (T x^{m-2}) x and
 T x^m = x . (T x^{m-1}).  The matrix ``contract_m_minus_2`` returns is
 read-only.
+
+``contract_m_minus_1_and_m`` returns the pair (T x^{m-1}, T x^m) from one
+call, with the same bits as the two separate contractions; on a dense tensor
+it makes one matrix-vector product where the two calls make two.
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ class TensorOperator(abc.ABC):
 
     Implementations provide the homogeneous form T x^m, the vector
     T x^{m-1}, and the matrix T x^{m-2}.  The three are consistent:
-    x . (T x^{m-1}) = T x^m and x^T (T x^{m-2}) x = T x^m.
+    x . (T x^{m-1}) = T x^m and x^T (T x^{m-2}) x = T x^m.  An operator that
+    gets T x^m from T x^{m-1} overrides ``contract_m_minus_1_and_m``.
     """
 
     order: int
@@ -113,6 +118,10 @@ class TensorOperator(abc.ABC):
     @abc.abstractmethod
     def contract_m_minus_2(self, x) -> np.ndarray:
         """Symmetric matrix summing T against m-2 copies of x."""
+
+    def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
+        """The pair (T x^{m-1}, T x^m), bit for bit the two contractions' results."""
+        return self.contract_m_minus_1(x), self.contract_m(x)
 
 
 class DenseSymmetricTensor(TensorOperator):
@@ -185,20 +194,25 @@ class DenseSymmetricTensor(TensorOperator):
         w = x
         for _ in range(self.order - 3):
             w = np.multiply.outer(w, x).ravel()
-        M = np.dot(w, self._flat).reshape(self.dim, self.dim)
+        M = w.dot(self._flat).reshape(self.dim, self.dim)
         M.setflags(write=False)
         return M
 
     def contract_m(self, x) -> float:
         x = self._coerce(x)
-        return float(np.dot(np.dot(self._matrix_at(x), x), x))
+        return float(self._matrix_at(x).dot(x).dot(x))
 
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
-        return np.dot(self._matrix_at(x), x)
+        return self._matrix_at(x).dot(x)
 
     def contract_m_minus_2(self, x) -> np.ndarray:
         return self._matrix_at(self._coerce(x))
+
+    def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
+        x = self._coerce(x)
+        v = self._matrix_at(x).dot(x)
+        return v, float(v.dot(x))
 
 
 @dataclass(frozen=True)
@@ -216,11 +230,15 @@ class HIdentity(TensorOperator):
 
     def contract_m(self, x) -> float:
         x = self._coerce(x)
-        return float(np.sum(x**self.order))
+        return float((x**self.order).sum())
 
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
         return x ** (self.order - 1)
+
+    def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
+        x = self._coerce(x)
+        return x ** (self.order - 1), float((x**self.order).sum())
 
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)
@@ -253,6 +271,11 @@ class ZIdentity(TensorOperator):
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
         return float(x @ x) ** ((self.order - 2) // 2) * x
+
+    def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
+        x = self._coerce(x)
+        sq = float(x.dot(x))
+        return sq ** ((self.order - 2) // 2) * x, sq ** (self.order // 2)
 
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)

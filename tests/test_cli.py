@@ -70,6 +70,11 @@ def test_non_finite_tol_and_tau_are_usage_errors(capsys):
         assert f"{flag[2:]} must be finite and positive" in err
 
 
+def test_fixed_order_problem_with_other_order_is_a_usage_error(capsys):
+    assert main(["solve", "--problem", "ex1:m=6", "--solver", "spg1"]) == EXIT_USAGE
+    assert "m=6" in capsys.readouterr().err
+
+
 def test_solve_bad_x0_length():
     assert main(["solve", "--problem", "ex1", "--x0", "1,1"]) == EXIT_USAGE
 

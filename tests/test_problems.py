@@ -105,3 +105,11 @@ def test_rand_problem_builds_z_pair():
     A, B = build(parse_problem("rand:n=3,m=4,seed=5"))
     assert isinstance(B, ZIdentity)
     assert A.dim == 3 and A.order == 4
+
+
+@pytest.mark.parametrize("kind", ["ex1", "ex3"])
+@pytest.mark.parametrize("m", [2, 6])
+def test_fixed_order_problems_reject_other_orders(kind, m):
+    with pytest.raises(ValueError, match=f"m={m}"):
+        parse_problem(f"{kind}:m={m}")
+    assert parse_problem(f"{kind}:m=4") == ProblemSpec(kind=kind, n=3, m=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import check_projection_nearest, sample_sphere_plus
-from teicp.projection import ScalingError, b_normalize, project_orthant, project_sphere_plus
+from teicp.projection import ScalingError, _norm, b_normalize, project_orthant, project_sphere_plus
 from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
 
 
@@ -119,3 +119,19 @@ def test_scaling_step_agrees_for_both_projection_targets(rng):
             via_sphere = b_normalize(project_sphere_plus(v), B)
             via_orthant = b_normalize(project_orthant(v), B)
             np.testing.assert_allclose(via_sphere, via_orthant, atol=1e-12)
+
+
+def test_norm_helper_has_the_bits_of_numpy_norm(rng):
+    tiny = np.finfo(float).smallest_subnormal
+    base = rng.standard_normal(40)
+    vectors = [rng.standard_normal(n) for n in (1, 2, 3, 5, 17, 64, 300)]
+    vectors += [np.zeros(4), np.full(3, tiny), tiny * rng.uniform(1, 1e6, 6)]
+    vectors += [1e154 * rng.uniform(0.5, 2.0, n) for n in (2, 3, 9)]
+    vectors += [base[rng.permutation(40)[:k]] for k in (3, 11, 25)]
+    vectors += [base[base > 0.0]]
+    for v in vectors:
+        with np.errstate(over="ignore"):  # 1e154 squared sums past the float range
+            want = np.linalg.norm(v)
+            got = _norm(v)
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), v

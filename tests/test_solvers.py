@@ -303,6 +303,36 @@ def test_every_solver_reports_a_point_it_cannot_evaluate(name):
     assert rep.pair.lam == 1.0 and rep.trace[0].lam == 1.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_overflowing_runs_end_without_a_silent_non_finite_run(scale, ex1):
+    """Huge entries overflow the power steps to NaN points: the run ends DomainError.
+
+    No solver raises, and none runs to MaxIters at a non-finite lambda; the
+    power solvers stop at k = 0 and keep the finite start.
+    """
+    A, B = ex1
+    A = DenseSymmetricTensor(A.entries * scale)
+    for name, solver in SOLVERS.items():
+        with np.errstate(all="ignore"):
+            rep = solver(A, B, np.ones(3))
+        assert not (rep.status is Status.MAX_ITERS and not math.isfinite(rep.pair.lam)), name
+        if name in ("spp", "spa", "sspa"):
+            assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0, name
+            assert math.isfinite(rep.pair.lam), name
+
+
+@pytest.mark.parametrize("name", ["spp", "sspa"])
+def test_non_finite_shift_hessian_ends_domain_error(name, ex1):
+    """At ex1 x 4e307 lambda is finite but the shift's Hessian overflows."""
+    A, B = ex1
+    A = DenseSymmetricTensor(A.entries * 4e307)
+    with np.errstate(all="ignore"):
+        rep = SOLVERS[name](A, B, np.ones(3))
+    assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0
+    assert math.isfinite(rep.pair.lam) and rep.trace[0].lam == rep.pair.lam
+    assert math.isnan(rep.trace[0].merit_value) and math.isnan(rep.trace[0].grad_norm)
+
+
 @pytest.mark.parametrize("problem", ["ex1", "ex4:n=5", "rand:n=6,m=4", "rand:n=4,m=6"])
 def test_driver_evaluates_each_point_once(problem, monkeypatch):
     """Before the polish, a converged run evaluates the pair once per iterate: iters + 1.

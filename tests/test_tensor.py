@@ -17,6 +17,7 @@ from helpers import (
     rel_err,
     symmetrize_reference,
 )
+from teicp.merit import MeritKind, evaluate
 from teicp.problems import ProblemSpec, build, parse_problem, random_start
 from teicp.tensor import (
     DenseSymmetricTensor,
@@ -532,12 +533,83 @@ def test_matrix_contraction_is_read_only(rng):
             M[0, 0] = 1.0
 
 
+def _same_pair(got, want):
+    """Byte equality of two (T x^{m-1}, T x^m) pairs."""
+    (v, s), (w, t) = got, want
+    return type(s) is float and v.tobytes() == w.tobytes() and s.hex() == float(t).hex()
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_dense_fused_pair_is_bitwise_the_two_contractions(m, warm, rng):
+    """With the one-point cache cold or already holding x, one call gives both results."""
+    entries = random_symmetric(4, m, 3).entries
+    for _ in range(5):
+        x = rng.standard_normal(4)
+        fused, split = (DenseSymmetricTensor(entries, validate=False) for _ in range(2))
+        if warm:
+            fused.contract_m_minus_2(x)
+        assert _same_pair(fused.contract_m_minus_1_and_m(x), (split.contract_m_minus_1(x), split.contract_m(x)))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("cls", [HIdentity, ZIdentity])
+def test_identity_fused_pair_is_bitwise_the_two_contractions(cls, m, rng):
+    T = cls(m, 5)
+    for x in [rng.standard_normal(5) for _ in range(5)] + [np.zeros(5), np.full(5, 1e30)]:
+        assert _same_pair(T.contract_m_minus_1_and_m(x), (T.contract_m_minus_1(x), T.contract_m(x)))
+
+
+def test_base_class_fused_pair_calls_the_two_contractions(rng):
+    T = ReduceTensor(random_symmetric(4, 4, 3).entries, validate=False)
+    assert type(T).contract_m_minus_1_and_m is TensorOperator.contract_m_minus_1_and_m
+    x = rng.standard_normal(4)
+    assert _same_pair(T.contract_m_minus_1_and_m(x), (T.contract_m_minus_1(x), T.contract_m(x)))
+
+
+@pytest.mark.parametrize("kind", list(MeritKind))
+def test_evaluate_makes_one_pass_and_one_fused_call_per_operand(kind, monkeypatch):
+    """evaluate gets T x^{m-1} and T x^m of each operand from one fused call,
+    and a dense operand from one pass; it calls no separate contraction."""
+    passes = collections.Counter()
+    calls = collections.Counter()
+    one_pass = DenseSymmetricTensor._pass
+
+    def counting_pass(self, x):
+        passes[id(self)] += 1
+        return one_pass(self, x)
+
+    def counting(name, method):
+        def counted(self, x):
+            calls[id(self), name] += 1
+            return method(self, x)
+
+        return counted
+
+    names = ("contract_m", "contract_m_minus_1", "contract_m_minus_2", "contract_m_minus_1_and_m")
+    for cls in (DenseSymmetricTensor, HIdentity, ZIdentity):
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+    monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
+    # Nonnegative entries and starts keep A x^m > 0 for the logarithmic merit.
+    A = DenseSymmetricTensor(np.abs(random_symmetric(5, 4, 1).entries))
+    for B in (diagonal_tensor(np.arange(1.0, 6.0), 4), HIdentity(4, 5), ZIdentity(4, 5)):
+        for seed in range(3):
+            passes.clear()
+            calls.clear()
+            evaluate(A, B, random_start(5, seed), kind)
+            dense = [id(T) for T in (A, B) if isinstance(T, DenseSymmetricTensor)]
+            assert passes == {i: 1 for i in dense}
+            assert calls == {(id(A), "contract_m_minus_1_and_m"): 1, (id(B), "contract_m_minus_1_and_m"): 1}
+
+
 @pytest.mark.parametrize("problem", ["rand:n=6,m=4", "rand:n=4,m=6", "ex1", "ex4:n=5"])
 def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
     """Before the polish, spp and sspa pass over A once per iterate: iters + 1.
 
-    They also call each contraction of A and of B once per iterate, except
-    sspa's B x^m, which b_normalize makes once more to scale each new point.
+    They also call the fused pair and T x^{m-2} of A and of B once per
+    iterate, and no other contraction, except sspa's B x^m, which
+    b_normalize makes once to scale each new point.
     """
     passes = []
     calls = collections.Counter()
@@ -564,7 +636,7 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
 
     A, B = build(parse_problem(problem))
     for cls in {type(A), type(B)}:
-        for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2"):
+        for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2", "contract_m_minus_1_and_m"):
             monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
     monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
@@ -583,10 +655,10 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
                 want = {
                     (op, name): points
                     for op in "AB"
-                    for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2")
+                    for name in ("contract_m_minus_1_and_m", "contract_m_minus_2")
                 }
                 if solver is teicp.solvers.sspa:
-                    want["B", "contract_m"] = 2 * points
+                    want["B", "contract_m"] = points
                 assert at_polish == [(points, want)], (solver.__name__, seed)
                 converged += 1
     assert converged == 30
