@@ -44,34 +44,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, defined once and shared as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--problem", required=True,
+                   help="ex1 | ex2:n=5 | ex3 | ex4:n=5 | ex5:n=5 | ex6:n=5 | rand:n=4,m=4,seed=7")
+    p.add_argument("--solver", action="append", default=None,
+                   help="solver id (repeatable); default: all five")
+    p.add_argument("--x0", default=None, help="explicit start, comma-separated")
+    p.add_argument("--runs", type=int, default=100, help="number of random starts (multistart)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--rho", type=float, default=1e-4)
+    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--merit", choices=("rayleigh", "log"), default="rayleigh")
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--paper-literal-safeguards", action="store_true")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="teicp",
         description="Pareto eigenpair solvers for tensor eigenvalue complementarity problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("solve", "run solvers once from a single start and print a result table"),
-        ("multistart", "run solvers over a set of seeded random starts"),
-        ("trace", "run solvers once and export the per-iteration trace"),
-    )
-    for name, desc in specs:
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--problem", required=True,
-                       help="ex1 | ex2:n=5 | ex3 | ex4:n=5 | ex5:n=5 | ex6:n=5 | rand:n=4,m=4,seed=7")
-        p.add_argument("--solver", action="append", default=None,
-                       help="solver id (repeatable); default: all five")
-        p.add_argument("--x0", default=None, help="explicit start, comma-separated")
-        p.add_argument("--runs", type=int, default=100, help="number of random starts (multistart)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--rho", type=float, default=1e-4)
-        p.add_argument("--tau", type=float, default=0.05)
-        p.add_argument("--merit", choices=("rayleigh", "log"), default="rayleigh")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), default="csv")
-        p.add_argument("--paper-literal-safeguards", action="store_true")
+    common = [_common_options()]
+    sub.add_parser("solve", parents=common,
+                   help="run solvers once from a single start and print a result table")
+    sub.add_parser("multistart", parents=common, help="run solvers over a set of seeded random starts")
+    sub.add_parser("trace", parents=common, help="run solvers once and export the per-iteration trace")
     return parser
 
 

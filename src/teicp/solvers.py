@@ -346,7 +346,7 @@ class _SpgRule:
     (x, g) and projects the direction d; the point is stationary when ||d||
     or, after the start, ||g|| is within tol.  The line search computes only
     merit values, and a trial point outside the merit's domain raises to the
-    driver.
+    driver, as do a non-finite gradient and a NaN trial value.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, curvilinear: bool):
@@ -359,6 +359,8 @@ class _SpgRule:
     def measure(self, x, ev):
         g = ev.gradient
         gnorm = _norm(g)
+        if not math.isfinite(gnorm):
+            raise MeritDomainError(f"merit gradient is not finite: norm {gnorm}")
         start = self.x is None
         if start:
             self.beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
@@ -385,6 +387,8 @@ class _SpgRule:
             else:
                 trial = x + alpha * self.d
             f_trial = _trial_value(self.A, self.B, trial, cfg.merit)
+            if math.isnan(f_trial):
+                raise MeritDomainError("merit value is NaN at a line-search trial point")
             if f_trial >= val + cfg.rho * alpha * slope:
                 break
             model_slope = slope / alpha if self.curvilinear else slope

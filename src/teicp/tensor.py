@@ -21,6 +21,7 @@ it makes one matrix-vector product where the two calls make two.
 from __future__ import annotations
 
 import abc
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -58,23 +59,22 @@ def _sorted_index_grids(dim: int, order: int) -> list[np.ndarray]:
     return grids
 
 
-def _class_ids(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation class of every index tuple, and each class's first member.
+@functools.lru_cache(maxsize=1)
+def _class_plan(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(ids, first, sizes)``, built once per (dim, order).
 
-    Returns ``(ids, first)``.  ``ids`` holds, in flat order, the rank of each
-    tuple's sorted indices s_0 <= ... <= s_{m-1} in the combinatorial number
-    system, sum_k binom(s_k + k, k + 1), so two tuples share an id exactly
-    when one permutes the other, and the ids run over 0..C-1 with
-    C = binom(dim + order - 1, order).  ``first[c]`` is the flat position of
-    the first member of class c in flat order, which is its nondecreasing
-    tuple.
+    ``ids`` and ``first`` are those of ``_class_ids``, and ``sizes[c]`` is the
+    number of members of class c.  ``ids`` is held in the smallest dtype that
+    holds the class count minus one (uint16 at (16, 4), (20, 4) and (6, 6)),
+    a quarter of an intp array there, and ``sizes`` in the smallest that
+    holds order!.  Only the last shape's plan is kept.
     """
     count = math.comb(dim + order - 1, order)
-    ids = np.zeros((dim,) * order, dtype=np.intp)
+    small = np.min_scalar_type(count - 1)
+    ids = np.zeros((dim,) * order, dtype=small)
     for k, s in enumerate(_sorted_index_grids(dim, order)):
-        # Every term is below the class count, so it is gathered in the
-        # smallest dtype that holds that count; only ids is a full intp array.
-        term = np.array([math.comb(v + k, k + 1) for v in range(dim)], dtype=np.min_scalar_type(count - 1))
+        # Every partial sum is below the class count, so it fits in ids' dtype.
+        term = np.array([math.comb(v + k, k + 1) for v in range(dim)], dtype=small)
         ids += term[s]
     axes = [np.arange(dim).reshape((1,) * k + (dim,) + (1,) * (order - 1 - k)) for k in range(order)]
     nondecreasing = np.ones((1,) * order, dtype=bool)
@@ -84,7 +84,26 @@ def _class_ids(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     positions = np.flatnonzero(nondecreasing)
     first = np.empty(count, dtype=np.intp)
     first[ids[positions]] = positions
-    return ids, first
+    sizes = np.bincount(ids, minlength=count).astype(np.min_scalar_type(math.factorial(order)))
+    for a in (ids, first, sizes):
+        a.setflags(write=False)
+    return ids, first, sizes
+
+
+def _class_ids(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation class of every index tuple, and each class's first member.
+
+    Returns ``(ids, first)``.  ``ids`` holds, in flat order, the rank of each
+    tuple's sorted indices s_0 <= ... <= s_{m-1} in the combinatorial number
+    system, sum_k binom(s_k + k, k + 1), so two tuples share an id exactly
+    when one permutes the other, and the ids run over 0..C-1 with
+    C = binom(dim + order - 1, order).  ``first[c]`` is the flat position of
+    the first member of class c in flat order, which is its nondecreasing
+    tuple.  ``ids`` is a new intp array, since gathers with intp indices are
+    the fastest; ``first`` is the cached plan's read-only array.
+    """
+    ids, first, _ = _class_plan(dim, order)
+    return ids.astype(np.intp), first
 
 
 class TensorOperator(abc.ABC):
@@ -245,6 +264,14 @@ class HIdentity(TensorOperator):
         return np.diag(x ** (self.order - 2))
 
 
+def _power(base: float, exp: int) -> float:
+    """base ** exp for base >= 0, and inf where the float power overflows."""
+    try:
+        return base**exp
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ZIdentity(TensorOperator):
     """Sphere identity: maps x to ||x||^{m-2} x (order must be even).
@@ -252,7 +279,8 @@ class ZIdentity(TensorOperator):
     The matrix form is defined through the Hessian relation
     m (m-1) * (eps x^{m-2}) = Hess(||x||^m), which keeps all three
     contractions mutually consistent; on the unit sphere the vector
-    contraction is x itself.
+    contraction is x itself.  A power of x . x that overflows is inf, as
+    the diagonal identity's powers are.
     """
 
     order: int
@@ -266,16 +294,16 @@ class ZIdentity(TensorOperator):
 
     def contract_m(self, x) -> float:
         x = self._coerce(x)
-        return float(x @ x) ** (self.order // 2)
+        return _power(float(x @ x), self.order // 2)
 
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
-        return float(x @ x) ** ((self.order - 2) // 2) * x
+        return _power(float(x @ x), (self.order - 2) // 2) * x
 
     def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
         x = self._coerce(x)
         sq = float(x.dot(x))
-        return sq ** ((self.order - 2) // 2) * x, sq ** (self.order // 2)
+        return _power(sq, (self.order - 2) // 2) * x, _power(sq, self.order // 2)
 
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)
@@ -287,9 +315,10 @@ class ZIdentity(TensorOperator):
             raise ValueError(
                 "matrix contraction of the sphere identity needs x != 0 for order > 4"
             )
-        lead = sq ** ((m - 2) // 2)
-        cross = (m - 2) * (1.0 if m == 4 else sq ** ((m - 4) // 2))
-        return (lead * np.eye(self.dim) + cross * np.outer(x, x)) / (m - 1)
+        lead = _power(sq, (m - 2) // 2)
+        cross = (m - 2) * (1.0 if m == 4 else _power(sq, (m - 4) // 2))
+        # np.diag keeps the off-diagonal zeros exact where lead is inf.
+        return (np.diag(np.full(self.dim, lead)) + cross * np.outer(x, x)) / (m - 1)
 
 
 def _fresh_tensor(arr: np.ndarray) -> DenseSymmetricTensor:
@@ -311,14 +340,14 @@ def symmetrize(raw) -> DenseSymmetricTensor:
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
     ids, first = _class_ids(arr.shape[0], arr.ndim)
+    sizes = _class_plan(arr.shape[0], arr.ndim)[2]
     flat = arr.ravel()
     # Per class: the first member's own value where every member equals it,
     # else the mean summed in flat order.
     rep = flat[first]
-    counts = np.bincount(ids, minlength=first.size)
     sums = np.bincount(ids, weights=flat, minlength=first.size)
     constant = np.bincount(ids, weights=flat != rep[ids], minlength=first.size) == 0
-    value = np.where(constant, rep, sums / counts)
+    value = np.where(constant, rep, sums / sizes)
     return _fresh_tensor(value[ids.reshape(arr.shape)])
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from teicp.cli import EXIT_MAX_ITERS, EXIT_OK, EXIT_USAGE, main
+from teicp.cli import EXIT_MAX_ITERS, EXIT_OK, EXIT_USAGE, build_parser, main
 from teicp.problems import build, parse_problem
 from teicp.verify import is_pareto_eigenpair
 
@@ -99,6 +99,33 @@ def test_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
     assert "--problem" in capsys.readouterr().out
+
+
+_SHARED_DEFAULTS = {
+    "problem": "ex1", "solver": None, "x0": None, "runs": 100, "seed": 0, "tol": 1e-6,
+    "max_iters": 500, "rho": 1e-4, "tau": 0.05, "merit": "rayleigh", "out": None,
+    "format": "csv", "paper_literal_safeguards": False,
+}
+_SHARED_ARGV = [
+    "--problem", "rand:n=4", "--solver", "spg1", "--solver", "spp", "--x0", "1,2,3,4",
+    "--runs", "7", "--seed", "3", "--tol", "1e-8", "--max-iters", "9", "--rho", "0.1",
+    "--tau", "0.2", "--merit", "log", "--out", "f.json", "--format", "json",
+    "--paper-literal-safeguards",
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "multistart", "trace"])
+def test_subcommands_share_the_thirteen_options(command, capsys):
+    parser = build_parser()
+    assert vars(parser.parse_args([command, "--problem", "ex1"])) == {"command": command, **_SHARED_DEFAULTS}
+    given = vars(parser.parse_args([command, *_SHARED_ARGV]))
+    assert given == {**vars(parser.parse_args(["solve", *_SHARED_ARGV])), "command": command}
+    assert all(given[key] != value for key, value in _SHARED_DEFAULTS.items())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(f"--{key.replace('_', '-')}" in text for key in _SHARED_DEFAULTS)
 
 
 def test_solve_json_without_out_prints_only_the_document(capsys, tmp_path):

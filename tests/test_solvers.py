@@ -305,20 +305,34 @@ def test_every_solver_reports_a_point_it_cannot_evaluate(name):
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])
 def test_overflowing_runs_end_without_a_silent_non_finite_run(scale, ex1):
-    """Huge entries overflow the power steps to NaN points: the run ends DomainError.
+    """Huge entries overflow the gradient or the power steps: the run ends DomainError.
 
-    No solver raises, and none runs to MaxIters at a non-finite lambda; the
-    power solvers stop at k = 0 and keep the finite start.
+    No solver raises, none runs to MaxIters at a non-finite lambda, and no
+    SPG run searches on NaN trial values to a LineSearchFailure; every solver
+    stops at k = 0 and keeps the finite start.
     """
     A, B = ex1
     A = DenseSymmetricTensor(A.entries * scale)
     for name, solver in SOLVERS.items():
         with np.errstate(all="ignore"):
             rep = solver(A, B, np.ones(3))
-        assert not (rep.status is Status.MAX_ITERS and not math.isfinite(rep.pair.lam)), name
-        if name in ("spp", "spa", "sspa"):
-            assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0, name
-            assert math.isfinite(rep.pair.lam), name
+        assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0, name
+        assert math.isfinite(rep.pair.lam), name
+
+
+@pytest.mark.parametrize("solver", [spg1, spg2])
+def test_nan_line_search_value_ends_domain_error(solver, ex1, monkeypatch):
+    """A NaN trial value ends the run at once, where 50 trials would end LineSearchFailure."""
+    trials = []
+
+    def nan_value(*args):
+        trials.append(args)
+        return float("nan")
+
+    monkeypatch.setattr(teicp.solvers, "_trial_value", nan_value)
+    rep = solver(*ex1, np.array([0.2, 0.5, 0.9]))
+    assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0 and len(trials) == 1
+    assert math.isfinite(rep.pair.lam)
 
 
 @pytest.mark.parametrize("name", ["spp", "sspa"])

@@ -25,6 +25,7 @@ from teicp.tensor import (
     TensorOperator,
     ZIdentity,
     _class_ids,
+    _class_plan,
     diagonal_tensor,
     load_tensor_json,
     symmetrize,
@@ -86,6 +87,36 @@ def test_z_identity_matrix_rejects_zero_for_high_order():
     np.testing.assert_allclose(ZIdentity(4, 2).contract_m_minus_2([0.0, 0.0]), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("m", [4, 6])
+def test_z_identity_overflows_to_inf_like_h_identity(m):
+    x = np.full(5, 1e80)
+    Z, H = ZIdentity(m, 5), HIdentity(m, 5)
+    with np.errstate(over="ignore"):
+        assert Z.contract_m(x) == H.contract_m(x) == math.inf
+        v, s = Z.contract_m_minus_1_and_m(x)
+        assert s == math.inf
+        assert np.array_equal(v, Z.contract_m_minus_1(x))
+        assert np.all(np.isinf(v)) == (m == 6)
+        M = Z.contract_m_minus_2(x)
+    assert not np.any(np.isnan(M)) and np.all(np.isinf(np.diag(M))) == (m == 6)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_z_identity_finite_contractions_keep_python_float_bits(m, rng):
+    """Finite results keep the bits of the unguarded Python float formulas."""
+    Z = ZIdentity(m, 4)
+    for _ in range(100):
+        x = rng.standard_normal(4) * 10.0 ** rng.uniform(-40, 40)
+        sq = float(x @ x)
+        v, s = Z.contract_m_minus_1_and_m(x)
+        assert Z.contract_m(x) == s == sq ** (m // 2)
+        assert Z.contract_m_minus_1(x).tobytes() == v.tobytes() == (sq ** ((m - 2) // 2) * x).tobytes()
+        if m > 2:
+            cross = (m - 2) * (1.0 if m == 4 else sq ** ((m - 4) // 2))
+            M = (sq ** ((m - 2) // 2) * np.eye(4) + cross * np.outer(x, x)) / (m - 1)
+            assert Z.contract_m_minus_2(x).tobytes() == M.tobytes()
+
+
 def test_quadratic_form_identity(rng):
     for seed in range(5):
         T = random_symmetric(3, 4, seed)
@@ -139,6 +170,50 @@ def test_class_keys_match_literal_oracle(n, m):
     assert np.array_equal(first[ids], keys)
 
 
+def test_class_ids_are_fresh_intp_arrays_over_a_read_only_plan():
+    ids, first = _class_ids(4, 4)
+    want = ids.copy()
+    ids[:] = 0
+    again, first_again = _class_ids(4, 4)
+    assert np.array_equal(again, want) and again.dtype == np.intp
+    assert first_again is first and not first.flags.writeable
+
+
+def test_class_plan_arrays_are_read_only_and_small():
+    plan_ids, first, sizes = _class_plan(5, 4)
+    for a in (plan_ids, first, sizes):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert plan_ids.dtype == np.uint8 and sizes.dtype == np.uint8
+    assert np.array_equal(sizes, np.bincount(_class_ids(5, 4)[0]))
+
+
+def test_class_plan_of_20_4_takes_at_most_0_35_units():
+    # A unit is one float64 copy of the tensor; uint16 ids take 0.25 of it.
+    plan = _class_plan(20, 4)
+    assert plan[0].dtype == np.uint16
+    assert sum(a.nbytes for a in plan) / (8 * 20**4) <= 0.35
+
+
+def _cold_and_warm(build_tensor):
+    _class_plan.cache_clear()
+    cold = build_tensor().entries.tobytes()
+    hits = _class_plan.cache_info().hits
+    warm = build_tensor().entries.tobytes()
+    assert _class_plan.cache_info().hits > hits
+    return cold, warm
+
+
+@pytest.mark.parametrize("n, m", [(16, 4), (6, 6), (3, 2)])
+def test_cold_and_warm_plan_builds_are_byte_equal(n, m):
+    cold, warm = _cold_and_warm(lambda: random_symmetric(n, m, 3))
+    assert cold == warm
+    for kind in ("ex4", "ex5", "ex6"):
+        cold, warm = _cold_and_warm(lambda: build(ProblemSpec(kind, n=n, m=m))[0])
+        assert cold == warm == formula_tensor_reference(kind, n, m).tobytes(), kind
+
+
 def _symmetrize_inputs(rng, n, m):
     shape = (n,) * m
     raw = rng.uniform(-1.0, 1.0, size=shape)
@@ -173,8 +248,9 @@ def _peak_units(build_tensor, n, m):
     """tracemalloc peak of a build, in units of one float64 copy of the (n,) * m tensor.
 
     A materialized (m, n^m) index array and its sorted copy take 2m units on
-    their own.
+    their own.  The class plan is dropped first, so the build makes it anew.
     """
+    _class_plan.cache_clear()
     tracemalloc.start()
     try:
         T = build_tensor()
