@@ -70,17 +70,23 @@ class MeritEval:
     _at: tuple = field(repr=False, compare=False)
 
     def rayleigh_hessian(self) -> np.ndarray:
-        """Exact Hessian of the Rayleigh quotient (symmetric by construction)."""
+        """Exact Hessian of the Rayleigh quotient (symmetric by construction).
+
+        The powers of B x^m are float64, so where they underflow or overflow
+        the Hessian holds inf or NaN instead of raising; callers test it.
+        """
         A, B, x, axm, bxm, axm1, bxm1 = self._at
         m = A.order
+        b = np.float64(bxm)
         cross = np.multiply.outer(axm1, bxm1)
         cross = cross + cross.T
         bb = np.multiply.outer(bxm1, bxm1)
-        return (
-            (m * (m - 1) / bxm) * A.contract_m_minus_2(x)
-            - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / bxm**2
-            + (2.0 * m * m * axm / bxm**3) * bb
-        )
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return (
+                (m * (m - 1) / b) * A.contract_m_minus_2(x)
+                - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / b**2
+                + (2.0 * m * m * axm / b**3) * bb
+            )
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:

@@ -10,6 +10,14 @@ this script in both trees and comparing the outputs::
 Copy the script into the parent checkout if it is not there yet.  It imports
 ``teicp`` from the ``src`` directory next to it, so each tree runs its own code.
 
+A change that is meant to alter bits is summarized instead of diffed::
+
+    python tests/corpus.py --compare old.txt new.txt
+
+prints whether the entries digests are equal, each run whose status or
+iteration count changed, and per status the number of runs whose lambda bits
+changed with the largest |dlam| among them.
+
 The corpus has 5,940 runs.  The starts are ``random_start(n, 20240 + r)``:
 r < 100 on ex1, ex2:n=5, ex3, ex4:n=5, ex5:n=5 and ex6:n=5 (the criterion-8
 starts), and r < 12 on rand:n=20,m=4,seed=1, rand:n=6,m=6,seed=1,
@@ -32,6 +40,7 @@ It takes about 20 s on a 2-core x86-64 VM (numpy 2.4, one BLAS thread).
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -41,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from helpers import lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
 from teicp.solvers import SOLVERS, SolverConfig, Status  # noqa: E402
@@ -80,7 +90,57 @@ def report_line(rep) -> str:
     )
 
 
+def _read(path) -> tuple[dict, dict]:
+    """(problem -> entries digest, case key -> report fields) of one output."""
+    entries, runs = {}, {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        words = line.split()
+        if words[1] == "entries":
+            entries[words[0]] = words[2]
+        else:
+            runs[" ".join(words[:4])] = words[4:]
+    return entries, runs
+
+
+def compare(old_path, new_path) -> list[str]:
+    """The lines ``--compare`` prints for two outputs of this script."""
+    (old_entries, old_runs), (new_entries, new_runs) = _read(old_path), _read(new_path)
+    out = []
+    if old_entries == new_entries:
+        out.append(f"entries digests equal ({len(new_entries)} problems)")
+    else:
+        differ = sorted(p for p in old_entries.keys() | new_entries.keys() if old_entries.get(p) != new_entries.get(p))
+        out.append(f"entries digests differ: {', '.join(differ)}")
+    for name, runs in (("old", old_runs), ("new", new_runs)):
+        converged = sum(fields[0] == Status.CONVERGED.value for fields in runs.values())
+        out.append(f"{name}: {len(runs)} runs, {converged} Converged")
+    only = (len(old_runs.keys() - new_runs.keys()), len(new_runs.keys() - old_runs.keys()))
+    if any(only):
+        out.append(f"{only[0]} runs only in old, {only[1]} only in new")
+    shared = [case for case in old_runs if case in new_runs]
+    changed = sum(old_runs[case] != new_runs[case] for case in shared)
+    out.append(f"{changed} of {len(shared)} shared runs changed in some field")
+    lam_changes = {}
+    for case in shared:
+        old, new = old_runs[case], new_runs[case]
+        if old[:2] != new[:2]:
+            out.append(f"status or iterations: {case}: {' '.join(old[:2])} -> {' '.join(new[:2])}")
+        if "raises" not in (old[0], new[0]) and old[2] != new[2]:
+            lam_changes.setdefault(new[0], []).append(lam_change(old[2], new[2]))
+    for status, changes in sorted(lam_changes.items()):
+        out.append(f"lambda bits changed: {len(changes)} {status} runs, max |dlam| {max(changes):.3g}")
+    if not lam_changes:
+        out.append("lambda bits changed: none")
+    return out
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Print or compare the solver comparison corpus.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize how two outputs differ")
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
     runs = converged = certified = 0
     for problem, count in PROBLEMS:
         A, B = build(parse_problem(problem))

@@ -51,6 +51,14 @@ def dense_contract(entries, x, times):
     return out
 
 
+def lam_change(old_hex: str, new_hex: str) -> float:
+    """|new - old| between two recorded lambdas (``float.hex``); 0 for two NaNs, inf for one."""
+    old, new = float.fromhex(old_hex), float.fromhex(new_hex)
+    if math.isnan(old) or math.isnan(new):
+        return 0.0 if math.isnan(old) and math.isnan(new) else math.inf
+    return abs(new - old)
+
+
 class ReduceTensor(DenseSymmetricTensor):
     """Dense tensor that runs a fresh reduce chain for every contraction.
 

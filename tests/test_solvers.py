@@ -9,7 +9,8 @@ import pytest
 
 import teicp.solvers
 
-from helpers import ReduceTensor, check_lemma1, min_eig_det_bisect
+from corpus import compare
+from helpers import ReduceTensor, check_lemma1, lam_change, min_eig_det_bisect
 from test_acceptance import STARTS
 from teicp.merit import MeritKind, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
@@ -345,6 +346,26 @@ def test_non_finite_shift_hessian_ends_domain_error(name, ex1):
     assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0
     assert math.isfinite(rep.pair.lam) and rep.trace[0].lam == rep.pair.lam
     assert math.isnan(rep.trace[0].merit_value) and math.isnan(rep.trace[0].grad_norm)
+
+
+@pytest.mark.parametrize("scale", [1e-110, 1e110])
+def test_tiny_or_huge_b_never_raises(scale, ex1):
+    """With B = scale * I (dense), the cube of B x^m under- or overflows.
+
+    The shift's Hessian once took Python float powers of B x^m, so spp
+    raised ZeroDivisionError at 1e-110 and OverflowError at 1e110.  Now every
+    solver returns a report, and at 1e-110 spp's non-finite Hessian ends the
+    run DomainError.
+    """
+    A = ex1[0]
+    B = diagonal_tensor([scale] * 3, 4)
+    statuses = {}
+    for name, solver in SOLVERS.items():
+        with np.errstate(all="ignore"):
+            statuses[name] = solver(A, B, np.ones(3)).status
+    assert all(isinstance(s, Status) for s in statuses.values())
+    if scale < 1.0:
+        assert statuses["spp"] is Status.DOMAIN_ERROR
 
 
 @pytest.mark.parametrize("problem", ["ex1", "ex4:n=5", "rand:n=6,m=4", "rand:n=4,m=6"])
@@ -743,12 +764,14 @@ def test_golden_reports():
     """Every solver report matches the recorded one bit for bit.
 
     The records in ``golden_solver_reports.json`` were made with numpy
-    2.4.6 after 923c4ee, when the polish began to contract the full
-    operators on each face instead of restricted sub-tensors, and to take
-    minimum-norm Newton steps.  That changed 86 of the 308 entries, all
-    ``Converged``: 61 lambda bit patterns (max |dlam| 1.42e-14) and the
-    polished x and residuals (max |dx| 3.9e-16); no status, iteration count
-    or trace row changed.  Regenerate them with
+    2.4.6 after 3ca9e27, when a dense tensor's pass began to sum over its
+    unique entries (one GEMV on the packed matrix) instead of over all n^m.
+    The sums run in another order, so ``golden_changes`` reads: 207 of 308
+    entries changed, 0 with a changed status or iteration count, 124 lambda
+    bit patterns changed, max |dlam| 4.73e-12.  By status: 120 ``Converged``
+    entries (61 lambdas, max |dlam| 1.4e-14), 75 ``MaxIters`` (54 lambdas,
+    max 4.7e-12, on spa runs that stop at the cap) and 12 ``DomainError``
+    (9 lambdas, max 6.7e-16).  Regenerate them with
     ``python tests/test_solvers.py`` only when a change of results is
     intended and explained; it prints what changed against the old file.
     """
@@ -761,27 +784,40 @@ def test_golden_reports():
     assert statuses == {s.value for s in Status}
 
 
-def _lam_change(old_hex: str, new_hex: str) -> float:
-    """|new - old| between two recorded lambdas; 0 for two NaNs, inf for one."""
-    old, new = float.fromhex(old_hex), float.fromhex(new_hex)
-    if math.isnan(old) or math.isnan(new):
-        return 0.0 if math.isnan(old) and math.isnan(new) else math.inf
-    return abs(new - old)
-
-
 def golden_changes(old: dict, new: dict) -> str:
     """One line saying how ``new`` golden records differ from ``old``."""
     shared = sorted(old.keys() & new.keys())
     changed = [c for c in shared if new[c] != old[c]]
     runs = [c for c in changed if (new[c]["status"], new[c]["iters"]) != (old[c]["status"], old[c]["iters"])]
     lams = [c for c in changed if new[c]["lam"] != old[c]["lam"]]
-    dlam = max((_lam_change(old[c]["lam"], new[c]["lam"]) for c in lams), default=0.0)
+    dlam = max((lam_change(old[c]["lam"], new[c]["lam"]) for c in lams), default=0.0)
     return (
         f"{len(changed)} of {len(shared)} entries changed, {len(new.keys() - old.keys())} added, "
         f"{len(old.keys() - new.keys())} removed; {len(runs)} with a changed status or iteration count; "
         f"{len(lams)} lambda bit patterns changed, max |dlam| {dlam:.3g}"
     )
 
+
+
+def test_corpus_compare_lists_status_and_lambda_changes(tmp_path):
+    half, moved = (0.5).hex(), (0.5 + 2.0**-40).hex()
+    rows = {
+        "old": ["ex1 entries aa", f"ex1 x0#0 spa rayleigh Converged 9 {half} d d d d",
+                f"ex1 x0#1 spa rayleigh MaxIters 500 {half} d d d d", "ex1 x0#2 spp rayleigh raises ZeroDivisionError"],
+        "new": ["ex1 entries aa", f"ex1 x0#0 spa rayleigh Converged 9 {moved} e d d d",
+                f"ex1 x0#1 spa rayleigh Converged 467 {half} d d d d", f"ex1 x0#2 spp rayleigh DomainError 0 {half} d d d d"],
+    }
+    for name, lines in rows.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert compare(tmp_path / "old", tmp_path / "new") == [
+        "entries digests equal (1 problems)",
+        "old: 3 runs, 1 Converged",
+        "new: 3 runs, 2 Converged",
+        "3 of 3 shared runs changed in some field",
+        "status or iterations: ex1 x0#1 spa rayleigh: MaxIters 500 -> Converged 467",
+        "status or iterations: ex1 x0#2 spp rayleigh: raises ZeroDivisionError -> DomainError 0",
+        "lambda bits changed: 1 Converged runs, max |dlam| 9.09e-13",
+    ]
 
 if __name__ == "__main__":
     # Re-record the golden file and say what changed against the one it replaces.

@@ -155,7 +155,7 @@ def test_symmetrize_idempotent_exactly(rng):
     assert np.array_equal(once.entries, twice.entries)
 
 
-_KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(2, 8) if n**m <= 300_000]
+_KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(1, 8) if n**m <= 300_000]
 
 
 @pytest.mark.parametrize("n, m", _KEY_SHAPES)
@@ -194,6 +194,23 @@ def test_class_plan_of_20_4_takes_at_most_0_35_units():
     plan = _class_plan(20, 4)
     assert plan[0].dtype == np.uint16
     assert sum(a.nbytes for a in plan) / (8 * 20**4) <= 0.35
+
+
+def test_packed_matrix_of_20_4_takes_at_most_0_3_units():
+    T = random_symmetric(20, 4, 0)
+    held = T._packed.nbytes + T._rows.nbytes + T._pair_pos.nbytes
+    assert T._packed.shape == (210, 210) and not T._packed.flags.writeable
+    assert held / T.entries.nbytes <= 0.3
+
+
+def test_packing_keeps_the_build_plan():
+    """A tensor packs with the (n, m - 2) and (n, 2) plans, which must not
+    evict the (n, m) plan: a second build of the shape rebuilds no plan."""
+    _class_plan.cache_clear()
+    random_symmetric(16, 4, 0)
+    misses = _class_plan.cache_info().misses
+    random_symmetric(16, 4, 1)
+    assert _class_plan.cache_info().misses == misses
 
 
 def _cold_and_warm(build_tensor):
@@ -429,10 +446,34 @@ def test_dense_contractions_match_direct_sum(rng):
                 assert np.all(err <= 1e-12 * dense_contract(np.abs(T.entries), np.abs(x), k)), (m, n, name)
 
 
+def _any_order_tensor(n, m, seed):
+    """A symmetrized tensor with entries uniform in [-1, 1], for odd m too."""
+    return symmetrize(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n,) * m))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_packed_contractions_match_literal_sums(m, rng):
+    """Every entry of T x^{m-2} within 1e-12 of the literal sum over all index
+    tuples, relative to the sum of its terms' magnitudes; T x^{m-1} and T x^m
+    against that literal matrix times x, with the same bound."""
+    for n in range(1, 9):
+        T = _any_order_tensor(n, m, 10 * m + n)
+        x = rng.standard_normal(n)
+        M, bound = dense_contract(T.entries, x, m - 2), dense_contract(np.abs(T.entries), np.abs(x), m - 2)
+        v, v_bound = M @ x, bound @ np.abs(x)
+        for got, want, scale in (
+            (T.contract_m_minus_2(x), M, bound),
+            (T.contract_m_minus_1(x), v, v_bound),
+            (T.contract_m(x), x @ v, np.abs(x) @ v_bound),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (m, n)
+
+
 def test_matrix_contraction_is_exactly_symmetric(rng):
-    for m, dims in ((4, range(2, 9)), (6, range(2, 9))):
+    cases = ((3, range(2, 9)), (4, (*range(2, 9), 20)), (5, range(2, 7)), (6, range(2, 9)))
+    for m, dims in cases:
         for n in dims:
-            T = random_symmetric(n, m, 100 + n)
+            T = _any_order_tensor(n, m, 100 + n)
             for _ in range(10):
                 M = T.contract_m_minus_2(rng.standard_normal(n))
                 assert np.array_equal(M, M.T), (m, n)
