@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -65,7 +66,9 @@ def _common_options() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; each ``parse_args`` starts fresh."""
     parser = _Parser(
         prog="teicp",
         description="Pareto eigenpair solvers for tensor eigenvalue complementarity problems.",

@@ -70,23 +70,30 @@ class MeritEval:
     _at: tuple = field(repr=False, compare=False)
 
     def rayleigh_hessian(self) -> np.ndarray:
-        """Exact Hessian of the Rayleigh quotient (symmetric by construction).
+        """Exact Hessian of the Rayleigh quotient, exactly symmetric.
 
-        The powers of B x^m are float64, so where they underflow or overflow
-        the Hessian holds inf or NaN instead of raising; callers test it.
+        With u = B x^{m-1}, b = B x^m and the residual y = A x^{m-1} - lam u,
+        H = (m (m-1) / b) (A x^{m-2} - lam B x^{m-2}) - (m / b)^2 (y u' + u y'),
+        which is the three-term closed form with its two rank-2 terms combined
+        through y.  Near an eigenpair y -> 0, so the correction vanishes
+        instead of being the difference of two O(lam) terms.  b enters only
+        as m / b, once per factor, so no power of b under- or overflows where
+        H is finite (B = 1e-110 I or 1e110 I scales H by 1/b and nothing else).
+        The rank-2 term is added as r + r' with r = (m / b)^2 y u', so H is
+        exactly symmetric wherever both x^{m-2} contractions are.  Where a
+        product overflows, H holds inf or NaN instead of raising; callers
+        test it.
         """
-        A, B, x, axm, bxm, axm1, bxm1 = self._at
+        A, B, x, bxm, bxm1 = self._at
         m = A.order
-        b = np.float64(bxm)
-        cross = np.multiply.outer(axm1, bxm1)
-        cross = cross + cross.T
-        bb = np.multiply.outer(bxm1, bxm1)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return (
-                (m * (m - 1) / b) * A.contract_m_minus_2(x)
-                - (m * (m - 1) * axm * B.contract_m_minus_2(x) + m * m * cross) / b**2
-                + (2.0 * m * m * axm / b**3) * bb
-            )
+        scale = m / bxm
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = np.multiply(B.contract_m_minus_2(x), self.lam)
+            np.subtract(A.contract_m_minus_2(x), H, out=H)
+            H *= (m - 1) * scale
+            r = np.multiply.outer(scale * self.y, scale * bxm1)
+            H -= r + r.T
+        return H
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:
@@ -154,7 +161,7 @@ def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKin
         raise MeritDomainError(f"Rayleigh quotient is not finite: A x^m = {axm}, B x^m = {bxm}")
     m = A.order
     y = axm1 - lam * bxm1
-    at = (A, B, x, axm, bxm, axm1, bxm1)
+    at = (A, B, x, bxm, bxm1)
     if kind is MeritKind.RAYLEIGH:
         return MeritEval(value=lam, gradient=(m / bxm) * y, lam=lam, y=y, _at=at)
     _log_domain(axm, bxm)

@@ -178,13 +178,20 @@ def _bb_bounds(grad_norm: float, literal: bool) -> tuple[float, float]:
 
 
 def min_eig_sym(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input)."""
+    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input).
+
+    One pass tests both: D = M - M' is antisymmetric, so D.max() is its
+    largest |entry|, and a NaN or inf anywhere in M makes some entry of D
+    NaN, so ``D.max() <= 1e-8`` fails on either fault.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix must be finite")
-    if np.abs(M - M.T).max(initial=0.0) > 1e-8:
+    with np.errstate(invalid="ignore"):
+        gap = (M - M.T).max(initial=0.0)
+    if not gap <= 1e-8:
+        if not np.isfinite(M).all():
+            raise ValueError("matrix must be finite")
         raise ValueError("matrix is not symmetric to 1e-8")
     return float(np.linalg.eigvalsh(M)[0])
 
@@ -223,6 +230,9 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
 
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
 _POLISH_NEWTON_STEPS = 25
+# Above this estimate ||J||_max ||J^-1||_max of the Newton Jacobian's
+# condition, the polish takes the minimum-norm step instead of J^-1 F.
+_NEWTON_COND_MAX = 1e10
 
 
 def _polish(A, B, lam, x, target: float = 1e-10):
@@ -235,9 +245,11 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     A_I z^{m-1} - lam B_I z^{m-1} = 0, ||z|| = 1 by Newton, and keep the
     result only if it is feasible and strictly reduces the residual.  Newton
     contracts the full operators at z padded with zeros, so the faces of
-    every operator are polished, and takes minimum-norm steps, so a face
-    whose eigenvectors form a set still converges to the nearest one.  The
-    trace and iteration counts of the main loop are untouched.
+    every operator are polished.  Its step solves with the inverse Jacobian,
+    and takes the minimum-norm step where the Jacobian is singular or
+    nearly so, so a face whose eigenvectors form a set still converges to
+    the nearest one.  The trace and iteration counts of the main loop are
+    untouched.
 
     The support is {i : x_i > cut} for each cut in turn, until one face
     reaches ``target``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
@@ -276,6 +288,9 @@ def _newton_face(A, B, lam, x, support):
     z stays a full-length vector that is zero off ``support``, so the full
     contractions sliced to the support are the face's: (T z^{m-1})[I] is
     T_I z_I^{m-1} and (T z^{m-2})[I, I] is T_I z_I^{m-2}, for every operator.
+    Each step is delta = -J^{-1} F from one ``inv``, whose result also gives
+    the condition estimate ||J||_max ||J^{-1}||_max; where ``inv`` fails or
+    that estimate exceeds 1e10, the step is the minimum-norm ``lstsq`` one.
     Returns ``(lam, z / ||z||)``.
     """
     m = A.order
@@ -295,12 +310,20 @@ def _newton_face(A, B, lam, x, support):
         jac[:k, k] = -bz
         jac[k, :k] = zs
         try:
-            # The minimum-norm step: where a face holds a set of eigenvectors
-            # (ex4 at lam = 0), jac is singular and a plain solve throws z far
-            # along its null direction.
-            delta = np.linalg.lstsq(jac, -fval, rcond=None)[0]
+            inv = np.linalg.inv(jac)
+            regular = np.abs(jac).max() * np.abs(inv).max() <= _NEWTON_COND_MAX
         except np.linalg.LinAlgError:
-            return None
+            regular = False
+        if regular:
+            delta = inv.dot(-fval)
+        else:
+            try:
+                # The minimum-norm step: where a face holds a set of eigenvectors
+                # (ex4 at lam = 0), jac is singular and a plain solve throws z far
+                # along its null direction.
+                delta = np.linalg.lstsq(jac, -fval, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                return None
         z[support] += delta[:k]
         lam_z = lam_z + float(delta[k])
         if not np.all(np.isfinite(z)) or not np.isfinite(lam_z):
@@ -428,12 +451,16 @@ class _PowerRule:
         ascent = g
         if self.shifted:
             H = ev.rayleigh_hessian()
-            if not np.isfinite(H).all():
-                raise MeritDomainError("the Rayleigh Hessian for the shift is not finite")
-            # The scaled step field is y, not the full Rayleigh gradient
-            # m y / B x^m, so the curvature matrix for the shift is its
-            # Jacobian, which at the B x^m = 1 scale equals H / m.
-            shift = convexity_shift(H / m if self.scaled else H, self.cfg.tau, m)
+            if self.scaled:
+                # The scaled step field is y, not the full Rayleigh gradient
+                # m y / B x^m, so the curvature matrix for the shift is its
+                # Jacobian, which at the B x^m = 1 scale equals H / m.
+                H /= m
+            try:
+                shift = convexity_shift(H, self.cfg.tau, m)
+            except ValueError as err:
+                # H is exactly symmetric, so only a non-finite H lands here.
+                raise MeritDomainError("the Rayleigh Hessian for the shift is not finite") from err
             ascent = g + shift * m * x
         if not self.scaled:
             ascent = project_orthant(ascent)

@@ -335,15 +335,21 @@ class ZIdentity(TensorOperator):
         m = self.order
         if m == 2:
             return np.eye(self.dim)
-        sq = float(x @ x)
+        sq = float(x.dot(x))
         if sq == 0.0 and m > 4:
             raise ValueError(
                 "matrix contraction of the sphere identity needs x != 0 for order > 4"
             )
         lead = _power(sq, (m - 2) // 2)
         cross = (m - 2) * (1.0 if m == 4 else _power(sq, (m - 4) // 2))
-        # np.diag keeps the off-diagonal zeros exact where lead is inf.
-        return (np.diag(np.full(self.dim, lead)) + cross * np.outer(x, x)) / (m - 1)
+        # Built in place, with the bits of (lead I + cross x x') / (m - 1) but
+        # for the sign of a zero off the diagonal; only the diagonal gets lead,
+        # so the off-diagonal entries stay finite where lead alone is inf.
+        M = np.multiply.outer(x, x)
+        M *= cross
+        M.reshape(-1)[:: self.dim + 1] += lead
+        M /= m - 1
+        return M
 
 
 def _fresh_tensor(arr: np.ndarray) -> DenseSymmetricTensor:

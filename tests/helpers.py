@@ -154,6 +154,25 @@ def min_eig_det_bisect(M, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def three_term_rayleigh_hessian(A, B, x):
+    """The Rayleigh Hessian in the three-term closed form, term by term.
+
+    With a = A x^m, b = B x^m, v = A x^{m-1} and u = B x^{m-1}:
+    (m (m-1) / b) A x^{m-2} - (m (m-1) a B x^{m-2} + m^2 (v u' + u v')) / b^2
+    + (2 m^2 a / b^3) u u'.  The library combines the two rank-2 terms
+    through the residual v - (a / b) u; this form keeps them apart.
+    """
+    m = A.order
+    a, b = A.contract_m(x), B.contract_m(x)
+    v, u = A.contract_m_minus_1(x), B.contract_m_minus_1(x)
+    cross = np.outer(v, u) + np.outer(u, v)
+    return (
+        (m * (m - 1) / b) * A.contract_m_minus_2(x)
+        - (m * (m - 1) * a * B.contract_m_minus_2(x) + m * m * cross) / b**2
+        + (2.0 * m * m * a / b**3) * np.outer(u, u)
+    )
+
+
 def sample_sphere_plus(n, count, rng):
     """Random points of the sphere-orthant set (uniform direction, clipped)."""
     pts = np.abs(rng.standard_normal((count, n)))

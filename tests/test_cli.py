@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import teicp.cli
 from teicp.cli import EXIT_MAX_ITERS, EXIT_OK, EXIT_USAGE, build_parser, main
 from teicp.problems import build, parse_problem
 from teicp.verify import is_pareto_eigenpair
@@ -99,6 +100,28 @@ def test_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
     assert "--problem" in capsys.readouterr().out
+
+
+def test_one_parser_per_process_parses_each_call_afresh(capsys, monkeypatch):
+    """``main`` reuses one parser; appends, usage errors and help do not carry over."""
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr(teicp.cli, "cmd_solve", lambda args: seen.append(args.solver) or EXIT_OK)
+    for _ in range(2):
+        assert main(["solve", "--problem", "ex1", "--solver", "spg1", "--solver", "spp"]) == EXIT_OK
+    assert main(["solve", "--problem", "ex1"]) == EXIT_OK
+    assert seen == [["spg1", "spp"], ["spg1", "spp"], None]
+    for _ in range(2):
+        assert main(["solve", "--problem", "ex1", "--format", "xml"]) == EXIT_USAGE
+        assert "usage: teicp" in capsys.readouterr().err
+    helps = []
+    for parse in (main, main, build_parser.__wrapped__().parse_args):
+        for argv in (["--help"], ["solve", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert "--problem" in helps[0] and helps[0] == helps[1] == helps[2]
 
 
 _SHARED_DEFAULTS = {

@@ -11,6 +11,7 @@ from helpers import (
     fd_jacobian,
     rel_err,
     sample_sphere_plus,
+    three_term_rayleigh_hessian,
 )
 from teicp.merit import (
     MeritDomainError,
@@ -22,7 +23,7 @@ from teicp.merit import (
     rayleigh_hessian,
     rayleigh_value,
 )
-from teicp.problems import random_symmetric
+from teicp.problems import build, parse_problem, random_symmetric
 from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
 
 
@@ -77,6 +78,34 @@ def test_rayleigh_hessian_symmetric_and_matches_fd(rng):
     assert np.array_equal(H, H.T)
     Hfd = fd_jacobian(lambda v: rayleigh_gradient(A, B, v), x, h=1e-5)
     assert rel_err(H, Hfd) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "problem", ["rand:n=20,m=4,seed=1", "rand:n=6,m=6,seed=1", "ex1", "ex2:n=5", "ex3", "ex4:n=5", "ex5:n=5", "ex6:n=5"]
+)
+def test_rank_two_hessian_matches_the_three_term_form(problem, rng):
+    """Combining the two rank-2 terms through y changes H by rounding only."""
+    A, B = build(parse_problem(problem))
+    for x in sample_sphere_plus(A.dim, 5, rng) + 0.05:
+        x /= np.linalg.norm(x)
+        H = rayleigh_hessian(A, B, x)
+        want = three_term_rayleigh_hessian(A, B, x)
+        assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max(), problem
+
+
+@pytest.mark.parametrize("scale", [1e-110, 1e110])
+def test_rayleigh_hessian_scales_with_b(scale, ex1):
+    """H(A, s B) = H(A, B) / s, also where s^3 under- or overflows.
+
+    The three-term form divided by (B x^m)^3, so at s = 1e110 its last term
+    was 0 and s H differed from H(A, I) by up to 8.0 per entry, and at
+    s = 1e-110 it was inf.
+    """
+    A = ex1[0]
+    x = np.ones(3) / np.sqrt(3.0)
+    want = rayleigh_hessian(A, diagonal_tensor([1.0] * 3, 4), x)
+    got = scale * rayleigh_hessian(A, diagonal_tensor([scale] * 3, 4), x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_rayleigh_hessian_of_constant_merit(rng):

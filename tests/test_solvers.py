@@ -11,7 +11,7 @@ import teicp.solvers
 
 from corpus import compare
 from helpers import ReduceTensor, check_lemma1, lam_change, min_eig_det_bisect
-from test_acceptance import STARTS
+from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, STARTS, TABLE_MEDIANS
 from teicp.merit import MeritKind, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import project_sphere_plus
@@ -338,9 +338,14 @@ def test_nan_line_search_value_ends_domain_error(solver, ex1, monkeypatch):
 
 @pytest.mark.parametrize("name", ["spp", "sspa"])
 def test_non_finite_shift_hessian_ends_domain_error(name, ex1):
-    """At ex1 x 4e307 lambda is finite but the shift's Hessian overflows."""
+    """At ex1 x 1e308 lambda is finite but the shift's Hessian overflows.
+
+    The rank-2 Hessian is finite at ex1 x 4e307, where the three-term form
+    overflowed; there the run still ends DomainError at k = 0, through the
+    gradient norm.  From about 8e307 up the Hessian overflows too.
+    """
     A, B = ex1
-    A = DenseSymmetricTensor(A.entries * 4e307)
+    A = DenseSymmetricTensor(A.entries * 1e308)
     with np.errstate(all="ignore"):
         rep = SOLVERS[name](A, B, np.ones(3))
     assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0
@@ -354,18 +359,21 @@ def test_tiny_or_huge_b_never_raises(scale, ex1):
 
     The shift's Hessian once took Python float powers of B x^m, so spp
     raised ZeroDivisionError at 1e-110 and OverflowError at 1e110.  Now every
-    solver returns a report, and at 1e-110 spp's non-finite Hessian ends the
-    run DomainError.
+    solver returns a report.  The rank-2 Hessian forms no power of B x^m,
+    so at 1e-110 it stays finite and spp converges to a certified pair,
+    where the underflow of (B x^m)^3 ended it DomainError.
     """
     A = ex1[0]
     B = diagonal_tensor([scale] * 3, 4)
-    statuses = {}
+    reports = {}
     for name, solver in SOLVERS.items():
         with np.errstate(all="ignore"):
-            statuses[name] = solver(A, B, np.ones(3)).status
-    assert all(isinstance(s, Status) for s in statuses.values())
+            reports[name] = solver(A, B, np.ones(3))
+    assert all(isinstance(rep.status, Status) for rep in reports.values())
     if scale < 1.0:
-        assert statuses["spp"] is Status.DOMAIN_ERROR
+        rep = reports["spp"]
+        assert rep.status is Status.CONVERGED and rep.iters == 26
+        assert is_pareto_eigenpair(A, B, rep.pair.lam, rep.pair.x, 1e-6)
 
 
 @pytest.mark.parametrize("problem", ["ex1", "ex4:n=5", "rand:n=6,m=4", "rand:n=4,m=6"])
@@ -427,6 +435,35 @@ def test_polish_tries_each_face_once(monkeypatch):
             faces.clear()
             solver(A, B, random_start(3, 20240 + r))
             assert len(faces) == len(set(faces)), (name, r, faces)
+
+
+def test_newton_takes_minimum_norm_steps_only_on_singular_faces(monkeypatch):
+    """Over the criterion-8 runs, only ex4 sends Newton steps to ``lstsq``.
+
+    Each step inverts the Jacobian once and takes the minimum-norm step
+    where that fails or ||J||_max ||J^-1||_max exceeds 1e10.  ex4 has faces
+    whose eigenvectors form a set (lam = 0), so its Jacobian is singular
+    there; every step on ex1-ex3, ex5 and ex6 stays on ``inv``.
+    """
+    calls = {}
+    for name in ("inv", "lstsq"):
+        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for problem, names in TABLE_MEDIANS.items():
+        A, B = build(parse_problem(problem))
+        calls.update(inv=0, lstsq=0)
+        for r in range(MULTISTART_RUNS):
+            x0 = random_start(A.dim, MULTISTART_SEED + r)
+            for name in names:
+                SOLVERS[name](A, B, x0)
+        assert calls["inv"] > 0, problem
+        if problem == "ex4:n=5":
+            assert calls["lstsq"] > 0
+        else:
+            assert calls["lstsq"] == 0, problem
 
 
 def test_solvers_reject_bad_problems():
@@ -764,14 +801,14 @@ def test_golden_reports():
     """Every solver report matches the recorded one bit for bit.
 
     The records in ``golden_solver_reports.json`` were made with numpy
-    2.4.6 after 3ca9e27, when a dense tensor's pass began to sum over its
-    unique entries (one GEMV on the packed matrix) instead of over all n^m.
-    The sums run in another order, so ``golden_changes`` reads: 207 of 308
-    entries changed, 0 with a changed status or iteration count, 124 lambda
-    bit patterns changed, max |dlam| 4.73e-12.  By status: 120 ``Converged``
-    entries (61 lambdas, max |dlam| 1.4e-14), 75 ``MaxIters`` (54 lambdas,
-    max 4.7e-12, on spa runs that stop at the cap) and 12 ``DomainError``
-    (9 lambdas, max 6.7e-16).  Regenerate them with
+    2.4.6, when the shift's Rayleigh Hessian became the rank-2 form (its two
+    rank-2 terms combined through the residual y) and each polish Newton
+    step began to solve with one ``inv`` instead of ``lstsq``.  Both round
+    differently, so ``golden_changes`` reads: 76 of 308 entries changed,
+    0 with a changed status or iteration count, 39 lambda bit patterns
+    changed, max |dlam| 1.42e-14.  The changed entries are 36 spp, 36 sspa
+    and 4 spa runs; by status, 42 ``Converged`` (17 lambdas) and 34
+    ``MaxIters`` (22 lambdas), each with max |dlam| 1.4e-14.  Regenerate them with
     ``python tests/test_solvers.py`` only when a change of results is
     intended and explained; it prints what changed against the old file.
     """
