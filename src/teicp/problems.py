@@ -26,8 +26,7 @@ from .tensor import (
     HIdentity,
     TensorOperator,
     ZIdentity,
-    _class_ids,
-    _fresh_tensor,
+    _from_symmetric_formula,
     diagonal_tensor,
     symmetrize,
 )
@@ -112,16 +111,6 @@ def parse_problem(text: str) -> ProblemSpec:
     if kind in ("ex1", "ex3"):
         params.setdefault("n", 3)
     return ProblemSpec(kind=kind, **params)
-
-
-def _from_symmetric_formula(n: int, m: int, fn) -> DenseSymmetricTensor:
-    # Evaluated once per permutation class, on its sorted index tuple, so
-    # entries within a class are bit-identical even when fn sums floats in
-    # index order.
-    shape = (n,) * m
-    ids, first = _class_ids(n, m)
-    vals = fn(np.stack(np.unravel_index(first, shape)) + 1)
-    return _fresh_tensor(vals[ids.reshape(shape)])
 
 
 def _ex3() -> DenseSymmetricTensor:

@@ -1,7 +1,9 @@
 """Dense symmetric tensors, identity operators, and contraction kernels.
 
-An order-m dimension-n tensor is stored densely as a numpy array of shape
-(n, ..., n).  Contractions against a vector x follow the multilinear
+A dense symmetric order-m dimension-n tensor is stored as one value per
+permutation class of its index tuples, C(n+m-1, m) floats, numbered by the
+class ids of ``_class_plan``; its n^m ``entries`` are derived from them on
+each access.  Contractions against a vector x follow the multilinear
 conventions: T x^m is a scalar, T x^{m-1} a vector, and T x^{m-2} a
 symmetric matrix, each summing the free indices against copies of x.
 
@@ -9,9 +11,10 @@ A dense tensor computes T x^{m-2} in one pass over its unique entries: a
 single matrix-vector product of the row weights w_R = prod_k x_{R_k}, one per
 permutation class R of m-2 indices, against a packed matrix with one row per
 class R and one column per index pair a <= b, whose rows are scaled by the
-class sizes.  At (20, 4) that matrix is 210 x 210, 0.28 of the dense
-entries' memory.  The tensor keeps the result for the last point it was
-asked about, so the three contractions at the same point share that pass:
+class sizes.  The tensor gathers that matrix from its class values once; at
+(20, 4) it is 210 x 210, 0.28 of the dense entries' memory.  The tensor
+keeps the result for the last point it was asked about, so the three
+contractions at the same point share that pass:
 T x^{m-1} = (T x^{m-2}) x and T x^m = x . (T x^{m-1}).  The matrix
 ``contract_m_minus_2`` returns is read-only.
 
@@ -65,12 +68,17 @@ def _sorted_index_grids(dim: int, order: int) -> list[np.ndarray]:
 def _class_plan(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(ids, first, sizes)``, built once per (dim, order).
 
-    ``ids`` and ``first`` are those of ``_class_ids``, and ``sizes[c]`` is the
-    number of members of class c.  ``ids`` is held in the smallest dtype that
-    holds the class count minus one (uint16 at (16, 4), (20, 4) and (6, 6)),
+    ``ids`` holds, in flat order, the rank of each index tuple's sorted
+    indices s_0 <= ... <= s_{m-1} in the combinatorial number system,
+    sum_k binom(s_k + k, k + 1), so two tuples share an id exactly when one
+    permutes the other, and the ids run over 0..C-1 with
+    C = binom(dim + order - 1, order).  ``first[c]`` is the flat position of
+    the first member of class c, which is its nondecreasing tuple, and
+    ``sizes[c]`` is the number of members of class c.  ``ids`` is held in the
+    smallest dtype that holds C - 1 (uint16 at (16, 4), (20, 4) and (6, 6)),
     a quarter of an intp array there, and ``sizes`` in the smallest that
     holds order!.  The last three shapes' plans are kept: a dense tensor of
-    order m packs its entries with the plans of (dim, m - 2) and (dim, 2),
+    order m packs its values with the plans of (dim, m - 2) and (dim, 2),
     and those must not evict the (dim, m) plan its builder used.
     """
     count = math.comb(dim + order - 1, order)
@@ -93,22 +101,6 @@ def _class_plan(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for a in (ids, first, sizes):
         a.setflags(write=False)
     return ids, first, sizes
-
-
-def _class_ids(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation class of every index tuple, and each class's first member.
-
-    Returns ``(ids, first)``.  ``ids`` holds, in flat order, the rank of each
-    tuple's sorted indices s_0 <= ... <= s_{m-1} in the combinatorial number
-    system, sum_k binom(s_k + k, k + 1), so two tuples share an id exactly
-    when one permutes the other, and the ids run over 0..C-1 with
-    C = binom(dim + order - 1, order).  ``first[c]`` is the flat position of
-    the first member of class c in flat order, which is its nondecreasing
-    tuple.  ``ids`` is a new intp array, since gathers with intp indices are
-    the fastest; ``first`` is the cached plan's read-only array.
-    """
-    ids, first, _ = _class_plan(dim, order)
-    return ids.astype(np.intp), first
 
 
 class TensorOperator(abc.ABC):
@@ -149,66 +141,65 @@ class TensorOperator(abc.ABC):
 
 
 class DenseSymmetricTensor(TensorOperator):
-    """Fully dense order-m dimension-n tensor with symmetric entries.
+    """Dense order-m dimension-n tensor with symmetric entries.
 
-    Entries are held as a read-only ndarray of shape (n,) * m.  Construction
-    verifies that they are finite, and that they are invariant under index
-    permutations unless ``validate=False`` (used internally where symmetry
-    holds by construction).  A read-only array that owns its memory is kept
-    as it is; any other input is copied.  For m >= 3 the tensor also keeps
-    the packed matrix its contraction GEMV reads (see ``_pass``): entry
-    (R, c) is mu_R T[R, a_c, b_c], for each class R of m-2 indices with mu_R
-    members and each pair a_c <= b_c.
+    The tensor holds one read-only value per permutation class, in the class
+    id order of ``_class_plan``, and ``entries``, the (n,) * m array, is
+    gathered from them on each access.  The constructor takes that dense
+    array: it must be finite and invariant under index permutations, which
+    holds exactly when every entry equals its class's first member, and it
+    is reduced to its class values, so later writes to the caller's array do
+    not reach the tensor.  For m >= 3 the tensor also keeps the packed matrix
+    its contraction GEMV reads (see ``_pass``): entry (R, c) is
+    mu_R T[R, a_c, b_c], for each class R of m-2 indices with mu_R members
+    and each pair a_c <= b_c.  For m = 2 it keeps the (n, n) matrix itself.
     """
 
-    def __init__(self, entries, validate: bool = True):
+    def __init__(self, entries):
         arr = np.asarray(entries, dtype=float)
-        if arr.flags.writeable or arr.base is not None:
-            # The caller can still write to it, or to the memory it views.
-            arr = arr.copy()
         if arr.ndim < 2:
             raise ValueError("tensor order must be at least 2")
         if arr.shape[0] < 1 or any(s != arr.shape[0] for s in arr.shape):
             raise ValueError(f"entries must be square in every axis, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
-        arr.setflags(write=False)
-        self.entries = arr
-        self.order = arr.ndim
-        self.dim = arr.shape[0]
+        ids, first, _ = _class_plan(arr.shape[0], arr.ndim)
+        flat = arr.ravel()
+        values = flat[first]
+        if not np.array_equal(flat, values[ids]):
+            raise ValueError("entries are not invariant under index permutations")
+        self._hold(values, arr.shape[0], arr.ndim)
+
+    def _hold(self, values: np.ndarray, dim: int, order: int) -> None:
+        """Keep ``values``, one float per class, and gather the matrix the pass reads."""
+        if not np.all(np.isfinite(values)):
+            raise ValueError("entries must be finite")
+        values.setflags(write=False)
+        self._values, self.order, self.dim = values, order, dim
         # (x.tobytes(), T x^{m-2}) for the last point; one tuple, so a reader
         # never pairs a new key with an old matrix.
         self._last: tuple[bytes, np.ndarray | None] = (b"", None)
-        if validate:
-            self._validate_symmetry()
-        if self.order > 2:
-            self._pack()
-
-    def _pack(self) -> None:
-        """Gather the packed matrix, its rows' index tuples and the pair-class map."""
-        n, m = self.dim, self.order
-        _, first_r, sizes_r = _class_plan(n, m - 2)
-        pair_ids, first_c, _ = _class_plan(n, 2)
-        flat = self.entries.reshape(n ** (m - 2), n * n)
-        packed = flat[np.ix_(first_r, first_c)]
-        # In place: a second (rows, pairs) array would raise the build's peak.
-        packed *= sizes_r[:, None]
+        ids = _class_plan(dim, order)[0]
+        if order == 2:
+            packed = values[ids].reshape(dim, dim)
+        else:
+            _, first_r, sizes_r = _class_plan(dim, order - 2)
+            pair_ids, first_c, _ = _class_plan(dim, 2)
+            packed = values[ids.reshape(dim ** (order - 2), dim * dim)[np.ix_(first_r, first_c)]]
+            # In place: a second (rows, pairs) array would raise the build's peak.
+            packed *= sizes_r[:, None]
+            # Row R's index tuple is column R of this (m - 2, rows) array.
+            self._rows = np.stack(np.unravel_index(first_r, (dim,) * (order - 2)))
+            self._pair_pos = pair_ids.astype(np.intp).reshape(dim, dim)
         packed.setflags(write=False)
         self._packed = packed
-        # Row R's index tuple is column R of this (m - 2, rows) array.
-        self._rows = np.stack(np.unravel_index(first_r, (n,) * (m - 2)))
-        self._pair_pos = pair_ids.astype(np.intp).reshape(n, n)
 
-    def _validate_symmetry(self) -> None:
-        """Every entry equals its transpose under one swap and one cycle of the axes.
-
-        The swap (1, 0, 2, ..., m-1) and the cycle (1, 2, ..., m-1, 0) generate
-        all index permutations, so the two tests check every entry exactly.
-        """
-        m = self.order
-        for axes in ((1, 0, *range(2, m)), (*range(1, m), 0)):
-            if not np.array_equal(self.entries, self.entries.transpose(axes)):
-                raise ValueError("entries are not invariant under index permutations")
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only (n,) * m array of entries, gathered from the class values."""
+        arr = self._values[_class_plan(self.dim, self.order)[0]].reshape((self.dim,) * self.order)
+        arr.setflags(write=False)
+        return arr
 
     def __repr__(self) -> str:
         return f"DenseSymmetricTensor(order={self.order}, dim={self.dim})"
@@ -236,7 +227,7 @@ class DenseSymmetricTensor(TensorOperator):
         chain followed by a gather of one member per class.
         """
         if self.order == 2:
-            return self.entries
+            return self._packed
         w = x.take(self._rows).prod(axis=0)
         M = w.dot(self._packed).take(self._pair_pos)
         M.setflags(write=False)
@@ -352,10 +343,22 @@ class ZIdentity(TensorOperator):
         return M
 
 
-def _fresh_tensor(arr: np.ndarray) -> DenseSymmetricTensor:
-    """Wrap an array no one else holds, symmetric by construction, without a copy."""
-    arr.setflags(write=False)
-    return DenseSymmetricTensor(arr, validate=False)
+def _from_class_values(values, dim: int, order: int) -> DenseSymmetricTensor:
+    """The tensor whose class c, in ``_class_plan`` id order, holds ``values[c]``."""
+    T = DenseSymmetricTensor.__new__(DenseSymmetricTensor)
+    T._hold(np.asarray(values, dtype=float), dim, order)
+    return T
+
+
+def _from_symmetric_formula(dim: int, order: int, fn) -> DenseSymmetricTensor:
+    """The tensor whose class c holds ``fn(I)[c]``, with I the 1-based tuples.
+
+    Column c of the (order, classes) array I is class c's nondecreasing
+    index tuple, so fn is evaluated once per class, on its sorted indices,
+    and no n^m array is formed.
+    """
+    first = _class_plan(dim, order)[1]
+    return _from_class_values(fn(np.stack(np.unravel_index(first, (dim,) * order)) + 1), dim, order)
 
 
 def symmetrize(raw) -> DenseSymmetricTensor:
@@ -363,23 +366,24 @@ def symmetrize(raw) -> DenseSymmetricTensor:
 
     Every entry of the result is the mean of its permutation class.  Classes
     whose members are already equal keep their value bit-for-bit, so the map
-    is exactly idempotent and already-symmetric inputs are fixed points.
+    is exactly idempotent and already-symmetric inputs are fixed points; a
+    tensor is returned as it is.
     """
     if isinstance(raw, DenseSymmetricTensor):
-        raw = raw.entries
+        return raw
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
-    ids, first = _class_ids(arr.shape[0], arr.ndim)
-    sizes = _class_plan(arr.shape[0], arr.ndim)[2]
+    plan_ids, first, sizes = _class_plan(arr.shape[0], arr.ndim)
+    # Gathers and bincount are fastest with intp indices.
+    ids = plan_ids.astype(np.intp)
     flat = arr.ravel()
     # Per class: the first member's own value where every member equals it,
     # else the mean summed in flat order.
     rep = flat[first]
     sums = np.bincount(ids, weights=flat, minlength=first.size)
     constant = np.bincount(ids, weights=flat != rep[ids], minlength=first.size) == 0
-    value = np.where(constant, rep, sums / sizes)
-    return _fresh_tensor(value[ids.reshape(arr.shape)])
+    return _from_class_values(np.where(constant, rep, sums / sizes), arr.shape[0], arr.ndim)
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
@@ -387,9 +391,13 @@ def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 1:
         raise ValueError("values must be a nonempty vector")
-    arr = np.zeros((vals.size,) * order)
-    arr[tuple(np.arange(vals.size) for _ in range(order))] = vals
-    return _fresh_tensor(arr)
+    if order < 2:
+        raise ValueError("tensor order must be at least 2")
+    n = vals.size
+    # The class of (i, ..., i) has id sum_k binom(i + k, k + 1) = binom(i + m, m) - 1.
+    class_values = np.zeros(math.comb(n + order - 1, order))
+    class_values[[math.comb(i + order, order) - 1 for i in range(n)]] = vals
+    return _from_class_values(class_values, n, order)
 
 
 def _is_json_int(value) -> bool:
@@ -427,7 +435,6 @@ def tensor_from_json(doc: dict) -> DenseSymmetricTensor:
         raw[key] = float(item["val"])
     if doc.get("symmetrize", False):
         return symmetrize(raw)
-    raw.setflags(write=False)
     return DenseSymmetricTensor(raw)
 
 

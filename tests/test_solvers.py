@@ -522,7 +522,7 @@ def test_gemv_pass_matches_per_call_reduce():
     runs = 0
     for problem, starts in _gate_cases():
         A, B = build(parse_problem(problem))
-        A_ref = ReduceTensor(A.entries, validate=False)
+        A_ref = ReduceTensor(A.entries)
         for name, solver in SOLVERS.items():
             merits = [MeritKind.RAYLEIGH]
             if name in ("spg1", "spg2"):

@@ -24,7 +24,6 @@ from teicp.tensor import (
     HIdentity,
     TensorOperator,
     ZIdentity,
-    _class_ids,
     _class_plan,
     diagonal_tensor,
     load_tensor_json,
@@ -160,23 +159,14 @@ _KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(1, 8) if n**m <= 300_0
 
 @pytest.mark.parametrize("n, m", _KEY_SHAPES)
 def test_class_keys_match_literal_oracle(n, m):
-    ids, first = _class_ids(n, m)
+    ids, first, _ = _class_plan(n, m)
     keys = class_keys_reference(n, m)
-    assert ids.dtype == first.dtype == np.intp
+    assert first.dtype == np.intp
     assert np.array_equal(np.unique(ids), np.arange(math.comb(n + m - 1, m)))
     # first is one-to-one onto the positions that are their own literal key,
     assert np.array_equal(np.sort(first), np.flatnonzero(keys == np.arange(keys.size)))
     # so two positions share an id exactly when they share a literal key.
     assert np.array_equal(first[ids], keys)
-
-
-def test_class_ids_are_fresh_intp_arrays_over_a_read_only_plan():
-    ids, first = _class_ids(4, 4)
-    want = ids.copy()
-    ids[:] = 0
-    again, first_again = _class_ids(4, 4)
-    assert np.array_equal(again, want) and again.dtype == np.intp
-    assert first_again is first and not first.flags.writeable
 
 
 def test_class_plan_arrays_are_read_only_and_small():
@@ -186,7 +176,7 @@ def test_class_plan_arrays_are_read_only_and_small():
         with pytest.raises(ValueError):
             a[0] = 0
     assert plan_ids.dtype == np.uint8 and sizes.dtype == np.uint8
-    assert np.array_equal(sizes, np.bincount(_class_ids(5, 4)[0]))
+    assert np.array_equal(sizes, np.bincount(plan_ids))
 
 
 def test_class_plan_of_20_4_takes_at_most_0_35_units():
@@ -200,7 +190,7 @@ def test_packed_matrix_of_20_4_takes_at_most_0_3_units():
     T = random_symmetric(20, 4, 0)
     held = T._packed.nbytes + T._rows.nbytes + T._pair_pos.nbytes
     assert T._packed.shape == (210, 210) and not T._packed.flags.writeable
-    assert held / T.entries.nbytes <= 0.3
+    assert held / (8 * 20**4) <= 0.3
 
 
 def test_packing_keeps_the_build_plan():
@@ -281,13 +271,14 @@ def _peak_units(build_tensor, n, m):
 @pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7)])
 def test_symmetrize_peak_allocation_is_bounded(n, m):
     raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n,) * m)
-    assert _peak_units(lambda: symmetrize(raw), n, m) <= 4.0
+    assert _peak_units(lambda: symmetrize(raw), n, m) <= 3.0
 
 
 @pytest.mark.parametrize("kind", ["ex4", "ex5", "ex6"])
-@pytest.mark.parametrize("n, m", [(20, 4), (6, 6)])
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (50, 4), (10, 6)])
 def test_formula_problem_peak_allocation_is_bounded(kind, n, m):
-    assert _peak_units(lambda: build(ProblemSpec(kind, n=n, m=m))[0], n, m) <= 4.0
+    # The (n, m) class plan is the only n^m-sized array a formula build makes.
+    assert _peak_units(lambda: build(ProblemSpec(kind, n=n, m=m))[0], n, m) <= 2.0
 
 
 @pytest.mark.parametrize("n, m", [(20, 4), (6, 6)])
@@ -300,15 +291,26 @@ def test_json_symmetrize_peak_allocation_is_bounded(n, m):
     assert _peak_units(lambda: tensor_from_json(doc), n, m) <= 4.0
 
 
-def test_built_tensors_are_not_copied_and_caller_arrays_are():
-    T = symmetrize(np.ones((3,) * 4))
-    assert DenseSymmetricTensor(T.entries).entries is T.entries
-    raw = np.ones((3,) * 4)
-    view = raw.view()
-    view.setflags(write=False)
-    tensors = [DenseSymmetricTensor(raw), DenseSymmetricTensor(view)]
-    raw[0, 0, 0, 0] = 2.0
-    assert [U.entries[0, 0, 0, 0] for U in tensors] == [1.0, 1.0]
+def test_tensors_hold_class_values_and_derive_their_entries():
+    """A tensor keeps no n^m array: ``entries`` is derived and read-only, and
+    writing to the array a tensor was built from does not reach the tensor."""
+    raw = symmetrize(np.random.default_rng(2).standard_normal((3,) * 4)).entries.copy()
+    T = DenseSymmetricTensor(raw)
+    want = raw.copy()
+    raw[0, 0, 0, 0] = 7.0
+    assert np.array_equal(T.entries, want) and not T.entries.flags.writeable
+    doc = {"order": 4, "dim": 3, "entries": [{"idx": [1, 2, 2, 3], "val": 0.5}], "symmetrize": True}
+    built = {
+        "dense": T,
+        "symmetrize": symmetrize(raw),
+        "diagonal": diagonal_tensor([1.0, 2.0, 3.0], 4),
+        "json": tensor_from_json(doc),
+        "json symmetric": tensor_from_json({"order": 4, "dim": 3, "entries": [{"idx": [2, 2, 2, 2], "val": 1.0}]}),
+    }
+    built.update((p, build(parse_problem(p))[0]) for p in ("ex1", "ex4:n=3", "ex5:n=3", "ex6:n=3", "ex3"))
+    for name, U in built.items():
+        sizes = [a.size for a in vars(U).values() if isinstance(a, np.ndarray)]
+        assert sizes and 3**4 not in sizes, name
 
 
 def test_symmetry_validation_rejects_asymmetric():
@@ -339,7 +341,7 @@ def test_full_contractions_restrict_to_a_face(rng):
     cases = [
         (random_symmetric(5, 4, 8), np.array([0, 2, 3])),
         (random_symmetric(4, 6, 9), np.array([1, 3])),
-        (ReduceTensor(random_symmetric(5, 4, 10).entries, validate=False), np.array([1, 2, 4])),
+        (ReduceTensor(random_symmetric(5, 4, 10).entries), np.array([1, 2, 4])),
     ]
     for T, support in cases:
         z = _zero_padded(rng, T.dim, support)
@@ -570,7 +572,7 @@ def test_symmetry_check_sees_one_asymmetric_entry_in_a_large_tensor():
 
 
 def test_symmetry_check_matches_literal_permutations(rng):
-    """The swap-and-cycle test accepts exactly the tensors whose entries equal
+    """The class test accepts exactly the tensors whose entries equal
     those at every permutation of their index."""
     verdicts = collections.Counter()
     for m in range(2, 6):
@@ -604,7 +606,6 @@ def test_non_finite_entry_rejected():
         doc = {"order": 4, "dim": 2, "entries": [{"idx": [1, 2, 2, 2], "val": bad}], "symmetrize": True}
         for make in (
             lambda: DenseSymmetricTensor(arr),
-            lambda: DenseSymmetricTensor(arr, validate=False),
             lambda: symmetrize(arr),
             lambda: symmetrize(raw),
             lambda: diagonal_tensor([1.0, bad], 4),
@@ -617,10 +618,10 @@ def test_non_finite_entry_rejected():
 def _assert_matches_cold(T, x):
     """T's (possibly cached) contractions equal a cold tensor's bit for bit,
     and the per-call reduce chains' to rounding."""
-    ref = ReduceTensor(T.entries, validate=False)
+    ref = ReduceTensor(T.entries)
     got = (T.contract_m(x), T.contract_m_minus_1(x), T.contract_m_minus_2(x))
     for k, name in enumerate(("contract_m", "contract_m_minus_1", "contract_m_minus_2")):
-        cold = DenseSymmetricTensor(T.entries, validate=False)
+        cold = DenseSymmetricTensor(T.entries)
         assert np.asarray(got[k]).tobytes() == np.asarray(getattr(cold, name)(x)).tobytes(), name
         assert rel_err(got[k], getattr(ref, name)(x)) <= 1e-13, name
 
@@ -663,7 +664,7 @@ def test_dense_fused_pair_is_bitwise_the_two_contractions(m, warm, rng):
     entries = random_symmetric(4, m, 3).entries
     for _ in range(5):
         x = rng.standard_normal(4)
-        fused, split = (DenseSymmetricTensor(entries, validate=False) for _ in range(2))
+        fused, split = (DenseSymmetricTensor(entries) for _ in range(2))
         if warm:
             fused.contract_m_minus_2(x)
         assert _same_pair(fused.contract_m_minus_1_and_m(x), (split.contract_m_minus_1(x), split.contract_m(x)))
@@ -678,7 +679,7 @@ def test_identity_fused_pair_is_bitwise_the_two_contractions(cls, m, rng):
 
 
 def test_base_class_fused_pair_calls_the_two_contractions(rng):
-    T = ReduceTensor(random_symmetric(4, 4, 3).entries, validate=False)
+    T = ReduceTensor(random_symmetric(4, 4, 3).entries)
     assert type(T).contract_m_minus_1_and_m is TensorOperator.contract_m_minus_1_and_m
     x = rng.standard_normal(4)
     assert _same_pair(T.contract_m_minus_1_and_m(x), (T.contract_m_minus_1(x), T.contract_m(x)))
