@@ -31,7 +31,6 @@ from .solvers import (
     SolverConfig,
     SolverReport,
     Status,
-    ascent_direction_check,
     convexity_shift,
     min_eig_sym,
     spa,

@@ -69,7 +69,6 @@ __all__ = [
     "SolverReport",
     "min_eig_sym",
     "convexity_shift",
-    "ascent_direction_check",
     "spg1",
     "spg2",
     "spp",
@@ -201,20 +200,6 @@ def convexity_shift(H, tau: float, order: int) -> float:
     return max(0.0, (tau - min_eig_sym(H)) / order)
 
 
-def ascent_direction_check(x, beta: float, g) -> tuple[np.ndarray, float, float]:
-    """Return d = P(x + beta g) - x together with g . d and ||d||^2 / beta.
-
-    For any feasible x and tangent gradient, g . d >= ||d||^2 / beta, which
-    makes d an ascent direction; exposed for property testing.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    d = project_sphere_plus(x + beta * g) - x
-    return d, float(g @ d), float(d @ d) / beta
-
-
 def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None:
     if A.order != B.order or A.dim != B.dim:
         raise ValueError("A and B must share order and dimension")
@@ -231,7 +216,8 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
 _POLISH_NEWTON_STEPS = 25
 # Above this estimate ||J||_max ||J^-1||_max of the Newton Jacobian's
-# condition, the polish takes the minimum-norm step instead of J^-1 F.
+# condition, its lambda column scaled to max 1, the polish takes the
+# minimum-norm step instead of J^-1 F.
 _NEWTON_COND_MAX = 1e10
 
 
@@ -289,8 +275,10 @@ def _newton_face(A, B, lam, x, support):
     contractions sliced to the support are the face's: (T z^{m-1})[I] is
     T_I z_I^{m-1} and (T z^{m-2})[I, I] is T_I z_I^{m-2}, for every operator.
     Each step is delta = -J^{-1} F from one ``inv``, whose result also gives
-    the condition estimate ||J||_max ||J^{-1}||_max; where ``inv`` fails or
-    that estimate exceeds 1e10, the step is the minimum-norm ``lstsq`` one.
+    the condition estimate ||J||_max ||J^{-1}||_max of J with its lambda
+    column -B z^{m-1} scaled to max 1, so the estimate does not grow with
+    the scale of B; where ``inv`` fails or that estimate exceeds 1e10, the
+    step is the minimum-norm ``lstsq`` one.
     Returns ``(lam, z / ||z||)``.
     """
     m = A.order
@@ -311,7 +299,11 @@ def _newton_face(A, B, lam, x, support):
         jac[k, :k] = zs
         try:
             inv = np.linalg.inv(jac)
-            regular = np.abs(jac).max() * np.abs(inv).max() <= _NEWTON_COND_MAX
+            # The estimate is that of J with its lambda column scaled to max 1,
+            # which scales the last row of J^-1 by max|B z^{m-1}|.
+            scale = np.abs(bz).max()
+            cond = max(np.abs(jac[:, :k]).max(), 1.0) * max(np.abs(inv[:k]).max(), scale * np.abs(inv[k]).max())
+            regular = cond <= _NEWTON_COND_MAX
         except np.linalg.LinAlgError:
             regular = False
         if regular:

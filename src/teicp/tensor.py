@@ -374,16 +374,19 @@ def symmetrize(raw) -> DenseSymmetricTensor:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
-    plan_ids, first, sizes = _class_plan(arr.shape[0], arr.ndim)
-    # Gathers and bincount are fastest with intp indices.
-    ids = plan_ids.astype(np.intp)
+    ids, first, sizes = _class_plan(arr.shape[0], arr.ndim)
     flat = arr.ravel()
-    # Per class: the first member's own value where every member equals it,
-    # else the mean summed in flat order.
-    rep = flat[first]
-    sums = np.bincount(ids, weights=flat, minlength=first.size)
-    constant = np.bincount(ids, weights=flat != rep[ids], minlength=first.size) == 0
-    return _from_class_values(np.where(constant, rep, sums / sizes), arr.shape[0], arr.ndim)
+    # Per class: the first member's own value where every member equals it
+    # (its largest and smallest members are equal), else the mean summed in
+    # flat order.  Each ufunc.at walks the plan's ids as they are, so no
+    # n^m temporary is made.  A NaN or inf entry, or a sum that overflows,
+    # leaves a non-finite class value, which the finiteness check rejects.
+    sums, top, bottom = np.zeros(first.size), np.full(first.size, -np.inf), np.full(first.size, np.inf)
+    with np.errstate(all="ignore"):
+        np.add.at(sums, ids, flat)
+        np.maximum.at(top, ids, flat)
+        np.minimum.at(bottom, ids, flat)
+    return _from_class_values(np.where(top == bottom, flat[first], sums / sizes), arr.shape[0], arr.ndim)
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:

@@ -14,9 +14,9 @@ A change that is meant to alter bits is summarized instead of diffed::
 
     python tests/corpus.py --compare old.txt new.txt
 
-prints whether the entries digests are equal, each run whose status or
-iteration count changed, and per status the number of runs whose lambda bits
-changed with the largest |dlam| among them.
+prints whether the entries and packed-matrix digests are equal, each run
+whose status or iteration count changed, and per status the number of runs
+whose lambda bits changed with the largest |dlam| among them.
 
 The corpus has 5,940 runs.  The starts are ``random_start(n, 20240 + r)``:
 r < 100 on ex1, ex2:n=5, ex3, ex4:n=5, ex5:n=5 and ex6:n=5 (the criterion-8
@@ -26,8 +26,9 @@ solver under the Rayleigh merit, and spg1 and spg2 also under the log merit
 and with ``paper_literal_safeguards=True``.  Every run keeps its iterates.
 
 Each problem first gets a line with the sha256 digest of its tensor's
-entries, so the comparison covers the tensor builders too.  Each run's line
-holds the case key (problem, start, solver, config), the status,
+entries and one with the digest of the packed matrix its contractions read
+(``T._packed``), so the comparison covers the tensor builders too.  Each
+run's line holds the case key (problem, start, solver, config), the status,
 the iteration count, ``lam.hex()``, and sha256 digests of x, of the residual
 triple, of the trace rows and of the iterates.  A run that raises prints the
 exception's type in place of the report.  The run count goes to stderr,
@@ -91,26 +92,28 @@ def report_line(rep) -> str:
 
 
 def _read(path) -> tuple[dict, dict]:
-    """(problem -> entries digest, case key -> report fields) of one output."""
-    entries, runs = {}, {}
+    """({kind: {problem: digest}} for entries and packed, case key -> report fields) of one output."""
+    digests, runs = {"entries": {}, "packed": {}}, {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         words = line.split()
-        if words[1] == "entries":
-            entries[words[0]] = words[2]
+        if words[1] in digests:
+            digests[words[1]][words[0]] = words[2]
         else:
             runs[" ".join(words[:4])] = words[4:]
-    return entries, runs
+    return digests, runs
 
 
 def compare(old_path, new_path) -> list[str]:
     """The lines ``--compare`` prints for two outputs of this script."""
-    (old_entries, old_runs), (new_entries, new_runs) = _read(old_path), _read(new_path)
+    (old_digests, old_runs), (new_digests, new_runs) = _read(old_path), _read(new_path)
     out = []
-    if old_entries == new_entries:
-        out.append(f"entries digests equal ({len(new_entries)} problems)")
-    else:
-        differ = sorted(p for p in old_entries.keys() | new_entries.keys() if old_entries.get(p) != new_entries.get(p))
-        out.append(f"entries digests differ: {', '.join(differ)}")
+    for kind, old in old_digests.items():
+        new = new_digests[kind]
+        if old == new:
+            out.append(f"{kind} digests equal ({len(new)} problems)")
+        else:
+            differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+            out.append(f"{kind} digests differ: {', '.join(differ)}")
     for name, runs in (("old", old_runs), ("new", new_runs)):
         converged = sum(fields[0] == Status.CONVERGED.value for fields in runs.values())
         out.append(f"{name}: {len(runs)} runs, {converged} Converged")
@@ -145,6 +148,7 @@ def main() -> int:
     for problem, count in PROBLEMS:
         A, B = build(parse_problem(problem))
         print(f"{problem} entries {hashlib.sha256(A.entries.tobytes()).hexdigest()}")
+        print(f"{problem} packed {hashlib.sha256(A._packed.tobytes()).hexdigest()}")
         for r in range(count):
             x0 = random_start(A.dim, SEED + r)
             for config, (cfg, names) in CONFIGS.items():

@@ -17,7 +17,6 @@ from teicp import (
     HIdentity,
     SolverConfig,
     ZIdentity,
-    ascent_direction_check,
     diagonal_pareto_spectrum,
     is_pareto_eigenpair,
     project_sphere_plus,
@@ -283,6 +282,20 @@ def check_fd_hessians(count=20, rtol=1e-4, seed=113):
         Hfd = fd_jacobian(lambda v: rayleigh_gradient(A, B, v), x, h=1e-5)
         assert np.array_equal(H, H.T)
         assert rel_err(H, Hfd) <= rtol
+
+
+def ascent_direction_check(x, beta: float, g) -> tuple[np.ndarray, float, float]:
+    """Return d = P(x + beta g) - x together with g . d and ||d||^2 / beta.
+
+    For any feasible x and tangent gradient, g . d >= ||d||^2 / beta, which
+    makes d an ascent direction (Lemma 1).
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    d = project_sphere_plus(x + beta * g) - x
+    return d, float(g @ d), float(d @ d) / beta
 
 
 def check_lemma1(count=1000, seed=127):

@@ -10,7 +10,7 @@ import pytest
 import teicp.solvers
 
 from corpus import compare
-from helpers import ReduceTensor, check_lemma1, lam_change, min_eig_det_bisect
+from helpers import ReduceTensor, ascent_direction_check, check_lemma1, lam_change, min_eig_det_bisect
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, STARTS, TABLE_MEDIANS
 from teicp.merit import MeritKind, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
@@ -20,7 +20,6 @@ from teicp.solvers import (
     SolverConfig,
     Status,
     _bb_clamped,
-    ascent_direction_check,
     convexity_shift,
     min_eig_sym,
     spa,
@@ -374,6 +373,32 @@ def test_tiny_or_huge_b_never_raises(scale, ex1):
         rep = reports["spp"]
         assert rep.status is Status.CONVERGED and rep.iters == 26
         assert is_pareto_eigenpair(A, B, rep.pair.lam, rep.pair.x, 1e-6)
+
+
+def test_huge_b_needs_no_minimum_norm_newton_step(ex1, monkeypatch):
+    """The polish's condition estimate scales the Jacobian's lambda column
+    -B z^{m-1} to max 1, so B = 1e110 I makes no face look singular.
+
+    Its estimate once grew with B's scale: every Newton step also took the
+    lstsq step, and spg1, spp, spa and sspa each ran about 500 polishes to
+    MaxIters.  Now no step calls lstsq, and those four certify at once.
+    """
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(teicp.solvers.np.linalg, "lstsq", counting_lstsq)
+    A, B = ex1[0], diagonal_tensor([1e110] * 3, 4)
+    for name, solver in SOLVERS.items():
+        with np.errstate(all="ignore"):
+            rep = solver(A, B, np.ones(3))
+        if name != "spg2":
+            assert rep.status is Status.CONVERGED and rep.iters <= 1, name
+            assert rep.residual.max_violation() <= 1e-15, name
+    assert calls == []
 
 
 @pytest.mark.parametrize("problem", ["ex1", "ex4:n=5", "rand:n=6,m=4", "rand:n=4,m=6"])
@@ -839,15 +864,16 @@ def golden_changes(old: dict, new: dict) -> str:
 def test_corpus_compare_lists_status_and_lambda_changes(tmp_path):
     half, moved = (0.5).hex(), (0.5 + 2.0**-40).hex()
     rows = {
-        "old": ["ex1 entries aa", f"ex1 x0#0 spa rayleigh Converged 9 {half} d d d d",
+        "old": ["ex1 entries aa", "ex1 packed bb", f"ex1 x0#0 spa rayleigh Converged 9 {half} d d d d",
                 f"ex1 x0#1 spa rayleigh MaxIters 500 {half} d d d d", "ex1 x0#2 spp rayleigh raises ZeroDivisionError"],
-        "new": ["ex1 entries aa", f"ex1 x0#0 spa rayleigh Converged 9 {moved} e d d d",
+        "new": ["ex1 entries aa", "ex1 packed bc", f"ex1 x0#0 spa rayleigh Converged 9 {moved} e d d d",
                 f"ex1 x0#1 spa rayleigh Converged 467 {half} d d d d", f"ex1 x0#2 spp rayleigh DomainError 0 {half} d d d d"],
     }
     for name, lines in rows.items():
         (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert compare(tmp_path / "old", tmp_path / "new") == [
         "entries digests equal (1 problems)",
+        "packed digests differ: ex1",
         "old: 3 runs, 1 Converged",
         "new: 3 runs, 2 Converged",
         "3 of 3 shared runs changed in some field",

@@ -268,16 +268,17 @@ def _peak_units(build_tensor, n, m):
     return peak / (8 * n**m)
 
 
-@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7)])
+# The (n, m) class plan is the only n^m-sized array a formula build or
+# ``symmetrize`` makes; the raw array given to ``symmetrize`` is not counted.
+@pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (4, 7), (50, 4), (10, 6)])
 def test_symmetrize_peak_allocation_is_bounded(n, m):
     raw = np.random.default_rng(0).uniform(-1.0, 1.0, size=(n,) * m)
-    assert _peak_units(lambda: symmetrize(raw), n, m) <= 3.0
+    assert _peak_units(lambda: symmetrize(raw), n, m) <= 2.0
 
 
 @pytest.mark.parametrize("kind", ["ex4", "ex5", "ex6"])
 @pytest.mark.parametrize("n, m", [(20, 4), (6, 6), (50, 4), (10, 6)])
 def test_formula_problem_peak_allocation_is_bounded(kind, n, m):
-    # The (n, m) class plan is the only n^m-sized array a formula build makes.
     assert _peak_units(lambda: build(ProblemSpec(kind, n=n, m=m))[0], n, m) <= 2.0
 
 
@@ -288,7 +289,7 @@ def test_json_symmetrize_peak_allocation_is_bounded(n, m):
     listed = np.unravel_index(rng.choice(n**m, size=50, replace=False), (n,) * m)
     entries = [{"idx": [int(i) + 1 for i in idx], "val": 0.5} for idx in zip(*listed)]
     doc = {"order": m, "dim": n, "entries": entries, "symmetrize": True}
-    assert _peak_units(lambda: tensor_from_json(doc), n, m) <= 4.0
+    assert _peak_units(lambda: tensor_from_json(doc), n, m) <= 3.0
 
 
 def test_tensors_hold_class_values_and_derive_their_entries():
