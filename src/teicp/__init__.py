@@ -45,9 +45,7 @@ from .tensor import (
     TensorOperator,
     ZIdentity,
     diagonal_tensor,
-    load_tensor_json,
     symmetrize,
-    tensor_from_json,
 )
 from .verify import (
     ResidualTriple,

@@ -215,13 +215,15 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
 
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
 _POLISH_NEWTON_STEPS = 25
+# The polish stops trying faces once the kept pair's max violation is this small.
+_POLISH_TARGET = 1e-10
 # Above this estimate ||J||_max ||J^-1||_max of the Newton Jacobian's
 # condition, its lambda column scaled to max 1, the polish takes the
 # minimum-norm step instead of J^-1 F.
 _NEWTON_COND_MAX = 1e10
 
 
-def _polish(A, B, lam, x, target: float = 1e-10):
+def _polish(A, B, lam, x):
     """Sharpen a candidate stop by Newton steps on its active face.
 
     The loose stopping rules of the iterative schemes leave the endpoint a
@@ -238,7 +240,7 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     untouched.
 
     The support is {i : x_i > cut} for each cut in turn, until one face
-    reaches ``target``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
+    reaches ``_POLISH_TARGET``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
     coordinates that are noise around a vertex, and 0 keeps small but
     genuine coordinates the 1e-4 cut drops.  Two cuts often give the same
     face; Newton runs on each face once, since a second run from the same
@@ -250,7 +252,7 @@ def _polish(A, B, lam, x, target: float = 1e-10):
     best_viol = best[2].max_violation()
     tried = set()
     for cut in _POLISH_SUPPORT_CUTS:
-        if best_viol <= target:
+        if best_viol <= _POLISH_TARGET:
             break
         support = np.flatnonzero(x > cut)
         if support.size == 0 or support.tobytes() in tried:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,8 +39,6 @@ __all__ = [
     "ZIdentity",
     "symmetrize",
     "diagonal_tensor",
-    "tensor_from_json",
-    "load_tensor_json",
 ]
 
 
@@ -152,7 +149,8 @@ class DenseSymmetricTensor(TensorOperator):
     not reach the tensor.  For m >= 3 the tensor also keeps the packed matrix
     its contraction GEMV reads (see ``_pass``): entry (R, c) is
     mu_R T[R, a_c, b_c], for each class R of m-2 indices with mu_R members
-    and each pair a_c <= b_c.  For m = 2 it keeps the (n, n) matrix itself.
+    and each pair a_c <= b_c; every builder rejects a tensor where such an
+    entry overflows.  For m = 2 it keeps the (n, n) matrix itself.
     """
 
     def __init__(self, entries):
@@ -187,7 +185,10 @@ class DenseSymmetricTensor(TensorOperator):
             pair_ids, first_c, _ = _class_plan(dim, 2)
             packed = values[ids.reshape(dim ** (order - 2), dim * dim)[np.ix_(first_r, first_c)]]
             # In place: a second (rows, pairs) array would raise the build's peak.
-            packed *= sizes_r[:, None]
+            with np.errstate(over="ignore"):
+                packed *= sizes_r[:, None]
+            if not np.all(np.isfinite(packed)):
+                raise ValueError("an entry times its class size overflows")
             # Row R's index tuple is column R of this (m - 2, rows) array.
             self._rows = np.stack(np.unravel_index(first_r, (dim,) * (order - 2)))
             self._pair_pos = pair_ids.astype(np.intp).reshape(dim, dim)
@@ -366,11 +367,8 @@ def symmetrize(raw) -> DenseSymmetricTensor:
 
     Every entry of the result is the mean of its permutation class.  Classes
     whose members are already equal keep their value bit-for-bit, so the map
-    is exactly idempotent and already-symmetric inputs are fixed points; a
-    tensor is returned as it is.
+    is exactly idempotent and already-symmetric inputs are fixed points.
     """
-    if isinstance(raw, DenseSymmetricTensor):
-        return raw
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
         raise ValueError(f"expected a square order-m array, got shape {arr.shape}")
@@ -401,47 +399,3 @@ def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
     class_values = np.zeros(math.comb(n + order - 1, order))
     class_values[[math.comb(i + order, order) - 1 for i in range(n)]] = vals
     return _from_class_values(class_values, n, order)
-
-
-def _is_json_int(value) -> bool:
-    """True for a JSON integer; bool is an int subclass, and a float would truncate."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def tensor_from_json(doc: dict) -> DenseSymmetricTensor:
-    """Build a tensor from the JSON document format.
-
-    The document lists only explicitly-set entries with 1-based indices::
-
-        {"order": m, "dim": n, "entries": [{"idx": [i1, ..., im], "val": v}, ...]}
-
-    Unlisted entries are zero.  ``order``, ``dim`` and every index must be
-    JSON integers, and an index may be listed only once (its permutations
-    are other entries).  With ``"symmetrize": true`` the permutation average
-    is applied after placement; otherwise the listed entries must already be
-    symmetric.
-    """
-    m, n = doc["order"], doc["dim"]
-    if not (_is_json_int(m) and _is_json_int(n)) or m < 2 or n < 1:
-        raise ValueError(f"bad tensor shape: order {m!r}, dim {n!r}")
-    raw = np.zeros((n,) * m)
-    listed = set()
-    for item in doc.get("entries", []):
-        idx = item["idx"]
-        in_range = isinstance(idx, list) and all(_is_json_int(i) and 1 <= i <= n for i in idx)
-        if not in_range or len(idx) != m:
-            raise ValueError(f"bad index {idx!r} for order {m}, dim {n}")
-        key = tuple(i - 1 for i in idx)
-        if key in listed:
-            raise ValueError(f"index {idx} is listed twice")
-        listed.add(key)
-        raw[key] = float(item["val"])
-    if doc.get("symmetrize", False):
-        return symmetrize(raw)
-    return DenseSymmetricTensor(raw)
-
-
-def load_tensor_json(path) -> DenseSymmetricTensor:
-    """Read a tensor from a JSON file in the ``tensor_from_json`` format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return tensor_from_json(json.load(fh))

@@ -9,6 +9,14 @@ this script in both trees and comparing the outputs::
 
 Copy the script into the parent checkout if it is not there yet.  It imports
 ``teicp`` from the ``src`` directory next to it, so each tree runs its own code.
+The same check is one command::
+
+    python tests/corpus.py --against HEAD~1
+
+exports that revision's ``src`` with ``git archive`` into a temporary
+directory next to a copy of this script, runs the corpus on both trees at
+once (one BLAS thread each), prints each tree's run counts, and then prints
+"identical" if the two outputs are, or else the ``--compare`` summary.
 
 A change that is meant to alter bits is summarized instead of diffed::
 
@@ -44,14 +52,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from helpers import lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
 from teicp.solvers import SOLVERS, SolverConfig, Status  # noqa: E402
@@ -105,6 +116,8 @@ def _read(path) -> tuple[dict, dict]:
 
 def compare(old_path, new_path) -> list[str]:
     """The lines ``--compare`` prints for two outputs of this script."""
+    # Imported here: the copy that ``--against`` runs has no helpers.py next to it.
+    from helpers import lam_change
     (old_digests, old_runs), (new_digests, new_runs) = _read(old_path), _read(new_path)
     out = []
     for kind, old in old_digests.items():
@@ -137,13 +150,49 @@ def compare(old_path, new_path) -> list[str]:
     return out
 
 
+def against(rev: str) -> int:
+    """Run the corpus on ``rev``'s ``src`` and on this tree's; print how they compare."""
+    script = Path(__file__).resolve()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tar = tmp / "src.tar"
+        subprocess.run(["git", "archive", "--output", str(tar), rev, "src"], cwd=script.parents[1], check=True)
+        subprocess.run(["tar", "-xf", str(tar), "-C", str(tmp)], check=True)
+        (tmp / "tests").mkdir()
+        shutil.copy(script, tmp / "tests" / script.name)
+        trees = {rev: tmp / "tests" / script.name, "this tree": script}
+        outs = {name: tmp / f"{i}.txt" for i, name in enumerate(trees)}
+        procs = {}
+        for name, path in trees.items():
+            with open(outs[name], "w", encoding="utf-8") as out:
+                procs[name] = subprocess.Popen(
+                    [sys.executable, str(path)], stdout=out, stderr=subprocess.PIPE, text=True, env=env
+                )
+        errs = {name: proc.communicate()[1].strip() for name, proc in procs.items()}
+        for name, proc in procs.items():
+            if proc.returncode:
+                print(f"{name}: corpus failed with exit code {proc.returncode}\n{errs[name]}", file=sys.stderr)
+                return 1
+            print(f"{name}: {errs[name]}")
+        old, new = outs.values()
+        if old.read_bytes() == new.read_bytes():
+            print("identical")
+        else:
+            print("\n".join(compare(old, new)))
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Print or compare the solver comparison corpus.")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize how two outputs differ")
+    parser.add_argument("--against", metavar="REV", help="run the corpus on REV's src and on this tree, and compare")
     args = parser.parse_args()
     if args.compare:
         print("\n".join(compare(*args.compare)))
         return 0
+    if args.against:
+        return against(args.against)
     runs = converged = certified = 0
     for problem, count in PROBLEMS:
         A, B = build(parse_problem(problem))

@@ -1,8 +1,8 @@
 import collections
 import itertools
-import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +26,7 @@ from teicp.tensor import (
     ZIdentity,
     _class_plan,
     diagonal_tensor,
-    load_tensor_json,
     symmetrize,
-    tensor_from_json,
 )
 from teicp.problems import random_symmetric
 
@@ -132,10 +130,10 @@ def test_dimension_mismatch_rejected():
         HIdentity(4, 3).contract_m_minus_1([1.0, 2.0])
 
 
-def test_symmetrize_fixed_point_is_exact():
-    T = random_symmetric(3, 4, 7)
-    again = symmetrize(T.entries)
-    assert np.array_equal(again.entries, T.entries)
+def test_symmetrize_fixed_point_is_exact(rng):
+    for T in (random_symmetric(3, 4, 7), symmetrize(rng.standard_normal((3, 3, 3, 3)))):
+        again = symmetrize(T.entries)
+        assert np.array_equal(again.entries, T.entries)
 
 
 def test_symmetrize_single_entry_average():
@@ -145,13 +143,6 @@ def test_symmetrize_single_entry_average():
     for idx in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
         assert out.entries[idx] == 0.00401 / 4
     assert out.entries[1, 1, 1, 1] == 0.0
-
-
-def test_symmetrize_idempotent_exactly(rng):
-    raw = rng.standard_normal((3, 3, 3, 3))
-    once = symmetrize(raw)
-    twice = symmetrize(once)
-    assert np.array_equal(once.entries, twice.entries)
 
 
 _KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(1, 8) if n**m <= 300_000]
@@ -282,16 +273,6 @@ def test_formula_problem_peak_allocation_is_bounded(kind, n, m):
     assert _peak_units(lambda: build(ProblemSpec(kind, n=n, m=m))[0], n, m) <= 2.0
 
 
-@pytest.mark.parametrize("n, m", [(20, 4), (6, 6)])
-def test_json_symmetrize_peak_allocation_is_bounded(n, m):
-    # The placed raw array is one of the units.
-    rng = np.random.default_rng(1)
-    listed = np.unravel_index(rng.choice(n**m, size=50, replace=False), (n,) * m)
-    entries = [{"idx": [int(i) + 1 for i in idx], "val": 0.5} for idx in zip(*listed)]
-    doc = {"order": m, "dim": n, "entries": entries, "symmetrize": True}
-    assert _peak_units(lambda: tensor_from_json(doc), n, m) <= 3.0
-
-
 def test_tensors_hold_class_values_and_derive_their_entries():
     """A tensor keeps no n^m array: ``entries`` is derived and read-only, and
     writing to the array a tensor was built from does not reach the tensor."""
@@ -300,13 +281,10 @@ def test_tensors_hold_class_values_and_derive_their_entries():
     want = raw.copy()
     raw[0, 0, 0, 0] = 7.0
     assert np.array_equal(T.entries, want) and not T.entries.flags.writeable
-    doc = {"order": 4, "dim": 3, "entries": [{"idx": [1, 2, 2, 3], "val": 0.5}], "symmetrize": True}
     built = {
         "dense": T,
         "symmetrize": symmetrize(raw),
         "diagonal": diagonal_tensor([1.0, 2.0, 3.0], 4),
-        "json": tensor_from_json(doc),
-        "json symmetric": tensor_from_json({"order": 4, "dim": 3, "entries": [{"idx": [2, 2, 2, 2], "val": 1.0}]}),
     }
     built.update((p, build(parse_problem(p))[0]) for p in ("ex1", "ex4:n=3", "ex5:n=3", "ex6:n=3", "ex3"))
     for name, U in built.items():
@@ -482,71 +460,6 @@ def test_matrix_contraction_is_exactly_symmetric(rng):
                 assert np.array_equal(M, M.T), (m, n)
 
 
-def test_json_roundtrip_and_symmetrize_flag(tmp_path):
-    # the README's example document
-    doc = {
-        "order": 4,
-        "dim": 3,
-        "entries": [{"idx": [1, 2, 2, 2], "val": 0.00401}],
-        "symmetrize": True,
-    }
-    path = tmp_path / "tensor.json"
-    path.write_text(json.dumps(doc))
-    T = load_tensor_json(path)
-    assert T.entries[0, 1, 1, 1] == 0.00401 / 4
-    raw = np.zeros((3,) * 4)
-    raw[0, 1, 1, 1] = 0.00401
-    assert np.array_equal(T.entries, symmetrize(raw).entries)
-    assert np.array_equal(tensor_from_json(doc).entries, T.entries)
-
-    sym_doc = {
-        "order": 2,
-        "dim": 2,
-        "entries": [{"idx": [1, 2], "val": 3.0}, {"idx": [2, 1], "val": 3.0}],
-    }
-    M = tensor_from_json(sym_doc)
-    assert M.entries[0, 1] == 3.0
-
-
-def test_json_asymmetric_without_flag_rejected():
-    for doc in (
-        {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 3.0}]},
-        {"order": 4, "dim": 3, "entries": [{"idx": [1, 2, 2, 2], "val": 0.00401}]},
-    ):
-        with pytest.raises(ValueError, match="invariant under index permutations"):
-            tensor_from_json(doc)
-
-
-def test_json_bad_index_rejected():
-    for idx in ([1, 5], [1, 3], [0, 1], [1], [1, 1, 1]):
-        doc = {"order": 2, "dim": 2, "entries": [{"idx": idx, "val": 3.0}]}
-        with pytest.raises(ValueError, match="bad index"):
-            tensor_from_json(doc)
-
-
-def test_json_rejects_non_integer_indices_and_shape():
-    # fractional and boolean indices used to be truncated to integers
-    doc = {"order": 2, "dim": 2,
-           "entries": [{"idx": [1.9, 1.2], "val": 1}, {"idx": [2, 2], "val": 3}, {"idx": [2, 2], "val": 5}]}
-    with pytest.raises(ValueError, match=r"bad index \[1\.9, 1\.2\]"):
-        tensor_from_json(doc)
-    for idx in ([True, 1], [1, 2.0], ["1", 1], 1):
-        with pytest.raises(ValueError, match="bad index"):
-            tensor_from_json({"order": 2, "dim": 2, "entries": [{"idx": idx, "val": 3.0}]})
-    for order, dim in ((4.5, 2), (4, 2.0), (True, 2), (4, True), ("4", 2)):
-        with pytest.raises(ValueError, match="bad tensor shape"):
-            tensor_from_json({"order": order, "dim": dim, "entries": []})
-
-
-def test_json_rejects_an_index_listed_twice():
-    doc = {"order": 2, "dim": 2, "entries": [{"idx": [2, 2], "val": 3}, {"idx": [2, 2], "val": 5}]}
-    with pytest.raises(ValueError, match=r"index \[2, 2\] is listed twice"):
-        tensor_from_json(doc)
-    # permutations of one index are other entries
-    doc["entries"] = [{"idx": [1, 2], "val": 3}, {"idx": [2, 1], "val": 3}]
-    assert tensor_from_json(doc).entries[1, 0] == 3.0
-
-
 def test_entries_are_immutable():
     T = random_symmetric(2, 4, 0)
     with pytest.raises(ValueError):
@@ -566,9 +479,6 @@ def test_symmetry_check_sees_one_asymmetric_entry_in_a_large_tensor():
     arr[0, 1, 2, 3] = 1.0
     with pytest.raises(ValueError, match="invariant under index permutations"):
         DenseSymmetricTensor(arr)
-    doc = {"order": 4, "dim": 32, "entries": [{"idx": [1, 2, 3, 4], "val": 1.0}]}
-    with pytest.raises(ValueError, match="invariant under index permutations"):
-        tensor_from_json(doc)
     assert symmetrize(arr).entries[3, 2, 1, 0] == 1.0 / 24
 
 
@@ -604,16 +514,27 @@ def test_non_finite_entry_rejected():
         arr[0, 0, 0, 0] = bad
         raw = np.array(T.entries)
         raw[0, 1, 1, 1] = bad
-        doc = {"order": 4, "dim": 2, "entries": [{"idx": [1, 2, 2, 2], "val": bad}], "symmetrize": True}
         for make in (
             lambda: DenseSymmetricTensor(arr),
             lambda: symmetrize(arr),
             lambda: symmetrize(raw),
             lambda: diagonal_tensor([1.0, bad], 4),
-            lambda: tensor_from_json(doc),
         ):
             with pytest.raises(ValueError, match="entries must be finite"):
                 make()
+
+
+def test_an_entry_times_its_class_size_must_not_overflow():
+    """The packed matrix scales a row of class R by its size mu_R, so 1e308
+    overflows at (2, 4), where row class (0, 1) has two members, and 5e307
+    does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (DenseSymmetricTensor, symmetrize):
+            with pytest.raises(ValueError, match="an entry times its class size overflows"):
+                make(np.full((2,) * 4, 1e308))
+        T = DenseSymmetricTensor(np.full((2,) * 4, 5e307))
+    assert T.contract_m([1.0, 0.0]) == 5e307
 
 
 def _assert_matches_cold(T, x):
