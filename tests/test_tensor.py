@@ -130,10 +130,10 @@ def test_dimension_mismatch_rejected():
         HIdentity(4, 3).contract_m_minus_1([1.0, 2.0])
 
 
-def test_symmetrize_fixed_point_is_exact(rng):
-    for T in (random_symmetric(3, 4, 7), symmetrize(rng.standard_normal((3, 3, 3, 3)))):
-        again = symmetrize(T.entries)
-        assert np.array_equal(again.entries, T.entries)
+def test_symmetrize_fixed_point_is_exact():
+    T = random_symmetric(3, 4, 7)
+    again = symmetrize(T.entries)
+    assert np.array_equal(again.entries, T.entries)
 
 
 def test_symmetrize_single_entry_average():
@@ -143,6 +143,13 @@ def test_symmetrize_single_entry_average():
     for idx in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
         assert out.entries[idx] == 0.00401 / 4
     assert out.entries[1, 1, 1, 1] == 0.0
+
+
+def test_symmetrize_idempotent_exactly(rng):
+    raw = rng.standard_normal((3, 3, 3, 3))
+    once = symmetrize(raw)
+    twice = symmetrize(once.entries)
+    assert np.array_equal(once.entries, twice.entries)
 
 
 _KEY_SHAPES = [(n, m) for n in range(1, 9) for m in range(1, 8) if n**m <= 300_000]
