@@ -53,7 +53,7 @@ class MeritDomainError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MeritEval:
     """Everything the solvers read from the pair (A, B) at one point x.
 
@@ -61,6 +61,8 @@ class MeritEval:
     Rayleigh merit ``value == lam``.  ``y`` is the residual
     A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
     per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones.
+    The record is built once per evaluated point, so it has slots and is
+    built positionally; nothing writes to it after.
     """
 
     value: float
@@ -163,7 +165,7 @@ def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKin
     y = axm1 - lam * bxm1
     at = (A, B, x, bxm, bxm1)
     if kind is MeritKind.RAYLEIGH:
-        return MeritEval(value=lam, gradient=(m / bxm) * y, lam=lam, y=y, _at=at)
+        return MeritEval(lam, (m / bxm) * y, lam, y, at)
     _log_domain(axm, bxm)
     grad = m * axm1 / axm - m * bxm1 / bxm
-    return MeritEval(value=math.log(axm) - math.log(bxm), gradient=grad, lam=lam, y=y, _at=at)
+    return MeritEval(math.log(axm) - math.log(bxm), grad, lam, y, at)

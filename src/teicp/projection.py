@@ -46,7 +46,8 @@ def project_sphere_plus(v) -> np.ndarray:
         out = np.zeros_like(v)
         out[int(np.argmax(v))] = 1.0
         return out
-    return clipped / nrm
+    clipped /= nrm
+    return clipped
 
 
 def project_orthant(v) -> np.ndarray:

@@ -136,7 +136,7 @@ class EigenPair:
     x: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Per-iterate trace entry; step/beta/shift are 0 where a solver has none."""
 
@@ -289,13 +289,16 @@ def _newton_face(A, B, lam, x, support):
     z = np.zeros(A.dim)
     z[support] = x[support] / _norm(x[support])
     lam_z = float(lam)
+    # F and J, refilled at each step; J's corner entry stays 0.
+    fval = np.empty(k + 1)
+    jac = np.zeros((k + 1, k + 1))
     for _ in range(_POLISH_NEWTON_STEPS):
         bz = B.contract_m_minus_1(z)[support]
         zs = z[support]
-        fval = np.append(A.contract_m_minus_1(z)[support] - lam_z * bz, 0.5 * (float(zs @ zs) - 1.0))
+        np.subtract(A.contract_m_minus_1(z)[support], lam_z * bz, out=fval[:k])
+        fval[k] = 0.5 * (float(zs @ zs) - 1.0)
         if _norm(fval) <= 1e-13 * max(1.0, abs(lam_z)):
             break
-        jac = np.zeros((k + 1, k + 1))
         jac[:k, :k] = (m - 1) * (A.contract_m_minus_2(z)[face] - lam_z * B.contract_m_minus_2(z)[face])
         jac[:k, k] = -bz
         jac[k, :k] = zs
@@ -320,9 +323,9 @@ def _newton_face(A, B, lam, x, support):
                 return None
         z[support] += delta[:k]
         lam_z = lam_z + float(delta[k])
-        if not np.all(np.isfinite(z)) or not np.isfinite(lam_z):
+        if not np.isfinite(z).all() or not math.isfinite(lam_z):
             return None
-    if np.any(z[support] <= 0.0):
+    if (z[support] <= 0.0).any():
         return None
     return lam_z, z / _norm(z)
 
@@ -506,8 +509,10 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
 
     def record(k, lam, fields, step, x):
-        merit_value, grad_norm, beta, shift = map(float, fields)
-        trace.append(IterationRecord(k, float(lam), merit_value, grad_norm, float(step), beta, shift))
+        # Every value here is a Python float already: the rules, evaluate and
+        # _safe_lambda make them with float() or math functions.
+        merit_value, grad_norm, beta, shift = fields
+        trace.append(IterationRecord(k, lam, merit_value, grad_norm, step, beta, shift))
         if iterates is not None:
             iterates.append(np.array(x, copy=True))
 

@@ -225,11 +225,12 @@ class DenseSymmetricTensor(TensorOperator):
         construction; the merit Hessians rely on that.  The weights come
         from one gather of x and a product over the tuple axis, which was
         faster at (20, 4), (16, 4), (6, 6) and n <= 5 than the outer-power
-        chain followed by a gather of one member per class.
+        chain followed by a gather of one member per class.  The product is
+        the ufunc reduce that ``prod(axis=0)`` calls, without its dispatch.
         """
         if self.order == 2:
             return self._packed
-        w = x.take(self._rows).prod(axis=0)
+        w = np.multiply.reduce(x.take(self._rows), axis=0)
         M = w.dot(self._packed).take(self._pair_pos)
         M.setflags(write=False)
         return M
@@ -266,7 +267,7 @@ class HIdentity(TensorOperator):
 
     def contract_m(self, x) -> float:
         x = self._coerce(x)
-        return float((x**self.order).sum())
+        return float(np.add.reduce(x**self.order))
 
     def contract_m_minus_1(self, x) -> np.ndarray:
         x = self._coerce(x)
@@ -274,7 +275,7 @@ class HIdentity(TensorOperator):
 
     def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
         x = self._coerce(x)
-        return x ** (self.order - 1), float((x**self.order).sum())
+        return x ** (self.order - 1), float(np.add.reduce(x**self.order))
 
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)
@@ -367,7 +368,9 @@ def symmetrize(raw) -> DenseSymmetricTensor:
 
     Every entry of the result is the mean of its permutation class.  Classes
     whose members are already equal keep their value bit-for-bit, so the map
-    is exactly idempotent and already-symmetric inputs are fixed points.
+    is exactly idempotent and already-symmetric inputs are fixed points.  A
+    finite array one of whose class sums overflows is rejected with
+    ``ValueError("a class sum overflows")``.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 2 or any(s != arr.shape[0] for s in arr.shape):
@@ -384,7 +387,16 @@ def symmetrize(raw) -> DenseSymmetricTensor:
         np.add.at(sums, ids, flat)
         np.maximum.at(top, ids, flat)
         np.minimum.at(bottom, ids, flat)
-    return _from_class_values(np.where(top == bottom, flat[first], sums / sizes), arr.shape[0], arr.ndim)
+    values = np.where(top == bottom, flat[first], sums / sizes)
+    try:
+        return _from_class_values(values, arr.shape[0], arr.ndim)
+    except ValueError:
+        # Only a failed build gets here.  Where every class's extremes, and
+        # so every entry, are finite, a non-finite class value is an
+        # overflowed sum.
+        if np.isfinite(top).all() and np.isfinite(bottom).all() and not np.isfinite(values).all():
+            raise ValueError("a class sum overflows") from None
+        raise
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:

@@ -37,7 +37,11 @@ class ResidualTriple:
 
     def max_violation(self) -> float:
         """Largest violation; NaN if any component is NaN, so it never certifies."""
-        return float(np.max([self.primal, self.dual, self.comp]))
+        primal, dual, comp = self.primal, self.dual, self.comp
+        # max() passes over a NaN that is not its first argument; NaN != NaN.
+        if primal != primal or dual != dual or comp != comp:
+            return float("nan")
+        return float(max(primal, dual, comp))
 
 
 def residual(A: TensorOperator, B: TensorOperator, lam: float, x) -> ResidualTriple:
@@ -45,8 +49,8 @@ def residual(A: TensorOperator, B: TensorOperator, lam: float, x) -> ResidualTri
     x = np.asarray(x, dtype=float)
     w = lam * B.contract_m_minus_1(x) - A.contract_m_minus_1(x)
     return ResidualTriple(
-        primal=max(0.0, -float(np.min(x))),
-        dual=max(0.0, -float(np.min(w))),
+        primal=max(0.0, -float(x.min())),
+        dual=max(0.0, -float(w.min())),
         comp=abs(float(x @ w)),
     )
 

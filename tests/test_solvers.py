@@ -82,7 +82,15 @@ def test_min_eig_sym_rejects_asymmetric():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_min_eig_sym_rejects_non_finite(bad):
-    for M in ([[bad, 1.0], [1.0, 2.0]], [[1.0, bad], [bad, 2.0]]):
+    # On the diagonal, in both off-diagonal places, and in only the upper or
+    # only the lower triangle: eigvalsh reads one triangle, so each must fail.
+    placements = (
+        [[bad, 1.0], [1.0, 2.0]],
+        [[1.0, bad], [bad, 2.0]],
+        [[1.0, bad], [1.0, 2.0]],
+        [[1.0, 1.0], [bad, 2.0]],
+    )
+    for M in placements:
         with pytest.raises(ValueError, match="finite"):
             min_eig_sym(np.array(M))
     with pytest.raises(ValueError, match="finite"):

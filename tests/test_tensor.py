@@ -544,6 +544,19 @@ def test_an_entry_times_its_class_size_must_not_overflow():
     assert T.contract_m([1.0, 0.0]) == 5e307
 
 
+def test_symmetrize_says_a_class_sum_overflows():
+    """The class {(0, 1), (1, 0)} sums 1.7e308 + 1e308, which overflows though
+    its mean 1.35e308 does not, so the error names the sum; an inf entry is
+    still reported as one."""
+    raw = np.full((2, 2), 1e308)
+    raw[0, 1] = 1.7e308
+    with pytest.raises(ValueError, match="a class sum overflows"):
+        symmetrize(raw)
+    raw[0, 1] = np.inf
+    with pytest.raises(ValueError, match="entries must be finite"):
+        symmetrize(raw)
+
+
 def _assert_matches_cold(T, x):
     """T's (possibly cached) contractions equal a cold tensor's bit for bit,
     and the per-call reduce chains' to rounding."""

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import check_diag_completeness, fd_gradient
 from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
 from teicp.verify import (
+    ResidualTriple,
     diagonal_pareto_spectrum,
     is_pareto_eigenpair,
     residual,
@@ -70,6 +73,19 @@ def test_nan_pair_never_certifies(ex1):
     assert np.isnan(r.max_violation())
     assert not is_pareto_eigenpair(A, B, np.nan, [np.nan, 1.0, 1.0], 1e-8)
     assert not is_pareto_eigenpair(A, B, np.nan, [0.2678, 0.6446, 0.7161], 1e-3)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_max_violation_is_nan_when_one_component_is(position):
+    """The largest component wherever it sits, and NaN wherever the one NaN
+    component sits, so a NaN never certifies."""
+    parts = [1e-3, 5e-4, 1e-3]
+    parts[position] = 2e-3
+    assert ResidualTriple(*parts).max_violation() == 2e-3
+    parts[position] = math.inf
+    assert ResidualTriple(*parts).max_violation() == math.inf
+    parts[position] = math.nan
+    assert math.isnan(ResidualTriple(*parts).max_violation())
 
 
 def test_is_pareto_eigenpair_rejects_zero_vector(diag_example):
