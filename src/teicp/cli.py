@@ -1,4 +1,9 @@
-"""Command-line driver for single solves, multistart experiments, and traces.
+"""Command-line driver for single solves with their traces, and multistart experiments.
+
+``solve`` and ``multistart`` share one output rule: the document goes to
+``--out``; without ``--out``, an explicit ``--format`` prints the document
+alone; without either, the command prints its table or summary.  Files
+default to CSV.
 
 Exit codes: 0 when every requested solver converged, 2 when any hit the
 iteration cap, 1 on solver errors, 64 on usage errors.
@@ -27,7 +32,6 @@ EXIT_ERROR = 1
 EXIT_MAX_ITERS = 2
 EXIT_USAGE = 64
 
-_SOLVER_ORDER = ("spg1", "spg2", "spp", "spa", "sspa")
 _TRACE_FIELDS = ("k", "solver", "lambda", "merit", "grad_norm", "step", "beta", "shift")
 _RUN_FIELDS = ("run", "solver", "lambda", "iters", "status", "time")
 _HIST_BIN = 1e-3
@@ -46,14 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand takes, defined once and shared as a parent parser."""
+    """The options both subcommands take, defined once and shared as a parent parser."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--problem", required=True,
                    help="ex1 | ex2:n=5 | ex3 | ex4:n=5 | ex5:n=5 | ex6:n=5 | rand:n=4,m=4,seed=7")
     p.add_argument("--solver", action="append", default=None,
                    help="solver id (repeatable); default: all five")
-    p.add_argument("--x0", default=None, help="explicit start, comma-separated")
-    p.add_argument("--runs", type=int, default=100, help="number of random starts (multistart)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=500)
@@ -61,7 +63,8 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--merit", choices=("rayleigh", "log"), default="rayleigh")
     p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="document format; without --out, print the document alone (files default to csv)")
     p.add_argument("--paper-literal-safeguards", action="store_true")
     return p
 
@@ -75,18 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = [_common_options()]
-    sub.add_parser("solve", parents=common,
-                   help="run solvers once from a single start and print a result table")
-    sub.add_parser("multistart", parents=common, help="run solvers over a set of seeded random starts")
-    sub.add_parser("trace", parents=common, help="run solvers once and export the per-iteration trace")
+    solve = sub.add_parser("solve", parents=common,
+                           help="run solvers once from a single start; print a table, or the reports with traces")
+    solve.add_argument("--x0", default=None, help="explicit start, comma-separated")
+    multistart = sub.add_parser("multistart", parents=common, help="run solvers over a set of seeded random starts")
+    multistart.add_argument("--runs", type=int, default=100, help="number of random starts")
     return parser
 
 
 def _solver_names(args) -> list[str]:
-    names = args.solver or list(_SOLVER_ORDER)
+    names = args.solver or list(SOLVERS)
     for name in names:
         if name not in SOLVERS:
-            raise UsageError(f"unknown solver {name!r}; choose from {', '.join(_SOLVER_ORDER)}")
+            raise UsageError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")
     return names
 
 
@@ -111,8 +115,17 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
     return x0
 
 
-def _exit_code(reports) -> int:
-    statuses = [r.status for r in reports]
+def _run_all(args, starts) -> list[tuple[int, str, SolverReport]]:
+    """(start index, solver, report) for each of ``starts(n)`` and each named solver, on one (A, B)."""
+    spec = parse_problem(args.problem)
+    A, B = build(spec)
+    names = _solver_names(args)
+    cfg = _config(args)
+    return [(r, name, SOLVERS[name](A, B, x0, cfg)) for r, x0 in enumerate(starts(spec.n)) for name in names]
+
+
+def _exit_code(results) -> int:
+    statuses = [rep.status for _, _, rep in results]
     if any(s in (Status.DOMAIN_ERROR, Status.LINE_SEARCH_FAILURE) for s in statuses):
         return EXIT_ERROR
     if any(s is Status.MAX_ITERS for s in statuses):
@@ -138,14 +151,6 @@ def _report_dict(name: str, rep: SolverReport) -> dict:
     }
 
 
-def _reports_text(fmt: str, results) -> str:
-    """Full reports as a JSON document, or the trace rows as CSV."""
-    if fmt == "json":
-        return _json_text([_report_dict(n, r) for n, r in results])
-    rows = [{"solver": name, **_trace_entry(t)} for name, rep in results for t in rep.trace]
-    return _csv_text(_TRACE_FIELDS, rows)
-
-
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -158,43 +163,23 @@ def _csv_text(fields, rows) -> str:
     return buf.getvalue()
 
 
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _emit(args, summary: list[str], document) -> None:
-    """Output rule of solve and multistart; ``document()`` returns the document's text.
-
-    ``--format json`` without ``--out`` prints the document alone.  Otherwise
-    the summary is printed, and the document goes to ``--out`` when given.
-    """
-    if args.out is None and args.format == "json":
-        sys.stdout.write(document())
+    """The output rule of solve and multistart; ``document(fmt)`` returns the document's text."""
+    if args.out is None and args.format is not None:
+        sys.stdout.write(document(args.format))
         return
     print("\n".join(summary))
     if args.out is not None:
-        _write_text(args.out, document())
-
-
-def _run_single(args):
-    spec = parse_problem(args.problem)
-    A, B = build(spec)
-    names = _solver_names(args)
-    cfg = _config(args)
-    x0 = _parse_x0(args.x0, spec.n) if args.x0 else random_start(spec.n, args.seed)
-    return [(name, SOLVERS[name](A, B, x0, cfg)) for name in names]
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(document(args.format or "csv"))
 
 
 def cmd_solve(args) -> int:
-    """Print the result table and write the reports to --out, or print the JSON document alone."""
-    results = _run_single(args)
+    """Run each solver from one start; the document is the full reports, or the trace rows as CSV."""
+    results = _run_all(args, lambda n: [_parse_x0(args.x0, n) if args.x0 else random_start(n, args.seed)])
     header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
     table = [header, "-" * len(header)]
-    for name, rep in results:
+    for _, name, rep in results:
         vec = "[" + ", ".join(f"{v:.4f}" for v in rep.pair.x) + "]"
         table.append(
             f"{name:<6} {rep.pair.lam:>12.6f} {vec:<40} {rep.iters:>5} "
@@ -202,14 +187,15 @@ def cmd_solve(args) -> int:
         )
         if rep.status is not Status.CONVERGED:
             table.append(f"       status: {rep.status.value}")
-    _emit(args, table, lambda: _reports_text(args.format, results))
-    return _exit_code([r for _, r in results])
 
+    def document(fmt: str) -> str:
+        if fmt == "json":
+            return _json_text([_report_dict(name, rep) for _, name, rep in results])
+        return _csv_text(_TRACE_FIELDS, [{"solver": name, **_trace_entry(t)}
+                                         for _, name, rep in results for t in rep.trace])
 
-def cmd_trace(args) -> int:
-    results = _run_single(args)
-    _write_text(args.out, _reports_text(args.format, results))
-    return _exit_code([r for _, r in results])
+    _emit(args, table, document)
+    return _exit_code(results)
 
 
 def _bin_label(lam: float) -> str:
@@ -217,29 +203,15 @@ def _bin_label(lam: float) -> str:
 
 
 def cmd_multistart(args) -> int:
+    """Run each solver from ``--runs`` seeded starts; the document is one row per run."""
     if args.runs < 2:
         raise UsageError("multistart needs --runs >= 2")
-    if args.x0 is not None:
-        raise UsageError("--x0 and multistart runs are mutually exclusive")
-    spec = parse_problem(args.problem)
-    A, B = build(spec)
-    names = _solver_names(args)
-    cfg = _config(args)
-    starts = [random_start(spec.n, args.seed + r) for r in range(args.runs)]
-
-    rows = []
-    reports = []
-    for r, x0 in enumerate(starts):
-        for name in names:
-            rep = SOLVERS[name](A, B, x0, cfg)
-            reports.append(rep)
-            rows.append({
-                "run": r, "solver": name, "lambda": rep.pair.lam, "iters": rep.iters,
-                "status": rep.status.value, "time": rep.wall_time,
-            })
+    results = _run_all(args, lambda n: [random_start(n, args.seed + r) for r in range(args.runs)])
+    rows = [{"run": r, "solver": name, "lambda": rep.pair.lam, "iters": rep.iters,
+             "status": rep.status.value, "time": rep.wall_time} for r, name, rep in results]
 
     summary = [f"problem {args.problem}: {args.runs} starts, seed {args.seed}"]
-    for name in names:
+    for name in [name for r, name, _ in results if r == 0]:
         mine = [row for row in rows if row["solver"] == name]
         conv = [row for row in mine if row["status"] == Status.CONVERGED.value]
         med = statistics.median(row["iters"] for row in conv) if conv else float("nan")
@@ -254,12 +226,12 @@ def cmd_multistart(args) -> int:
             f"  {name:<5} converged {len(conv)}/{len(mine)}  median iters {med:g}  "
             f"mean time {mean_t:.4f}s  lambda bins {hist_text}"
         )
-    _emit(args, summary, lambda: _json_text(rows) if args.format == "json" else _csv_text(_RUN_FIELDS, rows))
-    return _exit_code(reports)
+    _emit(args, summary, lambda fmt: _json_text(rows) if fmt == "json" else _csv_text(_RUN_FIELDS, rows))
+    return _exit_code(results)
 
 
 def main(argv=None) -> int:
-    commands = {"solve": cmd_solve, "multistart": cmd_multistart, "trace": cmd_trace}
+    commands = {"solve": cmd_solve, "multistart": cmd_multistart}
     try:
         args = build_parser().parse_args(argv)
         return commands[args.command](args)
@@ -274,3 +246,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

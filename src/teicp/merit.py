@@ -62,14 +62,23 @@ class MeritEval:
     A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
     per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones.
     The record is built once per evaluated point, so it has slots and is
-    built positionally; nothing writes to it after.
+    built positionally; nothing writes to it after.  ``_log_gradient`` is
+    None under the Rayleigh merit.
     """
 
     value: float
-    gradient: np.ndarray
     lam: float
     y: np.ndarray
     _at: tuple = field(repr=False, compare=False)
+    _log_gradient: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """The merit's gradient; the Rayleigh one, (m / B x^m) y, is computed on each read."""
+        if self._log_gradient is not None:
+            return self._log_gradient
+        A, _, _, bxm, _ = self._at
+        return (A.order / bxm) * self.y
 
     def rayleigh_hessian(self) -> np.ndarray:
         """Exact Hessian of the Rayleigh quotient, exactly symmetric.
@@ -161,11 +170,11 @@ def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKin
     lam = axm / _denominator(bxm)
     if not math.isfinite(lam):
         raise MeritDomainError(f"Rayleigh quotient is not finite: A x^m = {axm}, B x^m = {bxm}")
-    m = A.order
     y = axm1 - lam * bxm1
     at = (A, B, x, bxm, bxm1)
     if kind is MeritKind.RAYLEIGH:
-        return MeritEval(lam, (m / bxm) * y, lam, y, at)
+        return MeritEval(lam, lam, y, at)
     _log_domain(axm, bxm)
+    m = A.order
     grad = m * axm1 / axm - m * bxm1 / bxm
-    return MeritEval(math.log(axm) - math.log(bxm), grad, lam, y, at)
+    return MeritEval(math.log(axm) - math.log(bxm), lam, y, at, grad)

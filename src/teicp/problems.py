@@ -108,6 +108,8 @@ def parse_problem(text: str) -> ProblemSpec:
             if not eq or key.strip() not in ("n", "m", "seed"):
                 raise ValueError(f"bad problem parameter {piece!r} in {text!r}")
             params[key.strip()] = int(value)
+    if "seed" in params and kind != "rand":
+        raise ValueError(f"only rand takes a seed, got {text!r}")
     if kind in ("ex1", "ex3"):
         params.setdefault("n", 3)
     return ProblemSpec(kind=kind, **params)

@@ -9,6 +9,9 @@ sides run the same benchmark code on their own ``teicp``.  Pair i runs
 ``bench/run.py --workload W --seed K+i --seconds S --trace T`` once in each
 tree, one run at a time; the parent runs first in even pairs and the change
 in odd ones, so a drift of the machine's speed does not favor one side.
+Before pair 1, each tree makes one warm-up run with pair 1's workload, seed
+and seconds, as the first run of a series reads high; the warm-up runs are
+noted on stderr and left out of the medians, the pairs won and ``--out``.
 
 For every metric the benchmark lists for that trace mode, the script
 prints, as one JSON object, the parent's and the change's medians and
@@ -122,16 +125,18 @@ def main() -> int:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _tree(Path(tmp) / "parent", args.against), "change": _tree(Path(tmp) / "change", None)}
-        for i in range(args.pairs):
-            seed = args.seed + i
+        # i = -1 is the warm-up: pair 1's seed in each tree, noted on stderr and discarded.
+        for i in range(-1, args.pairs):
+            seed = args.seed + max(i, 0)
+            label = "warm-up (discarded)" if i < 0 else f"pair {i + 1}/{args.pairs}"
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 run = _run(trees[side], args.workload, seed, args.seconds, args.trace)
-                runs.append({"workload": args.workload, "seed": seed, "side": side, "first": order[0],
-                             "trace": args.trace, **run})
+                if i >= 0:
+                    runs.append({"workload": args.workload, "seed": seed, "side": side, "first": order[0],
+                                 "trace": args.trace, **run})
                 value = {m["name"]: run["metrics"][m["name"]]["value"] for m in listed[:1]}
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: {value} correct={run['correct']}",
-                      file=sys.stderr)
+                print(f"{label} seed {seed} {side}: {value} correct={run['correct']}", file=sys.stderr)
     summary = {args.workload: summarize(runs, listed)}
     print(json.dumps(summary, indent=1))
     if args.out:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,8 @@ def test_solve_unknown_problem_and_solver(capsys):
     assert main(["solve", "--problem", "ex1", "--solver", "nope"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error" in err
+    assert main(["solve", "--problem", "ex4:n=3,seed=77", "--solver", "spg1"]) == EXIT_USAGE
+    assert "only rand takes a seed" in capsys.readouterr().err
 
 
 def test_non_finite_tol_and_tau_are_usage_errors(capsys):
@@ -83,9 +89,13 @@ def test_solve_bad_x0_length():
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["solve", "--problem", "ex1", "--format", "xml"],
-    ["solve", "--problem", "ex1", "--runs", "many"],
+    ["multistart", "--problem", "ex1", "--runs", "many"],
     ["nope", "--problem", "ex1"],
     [],
+    # each subcommand's own option is not the other's, and trace is gone
+    ["solve", "--problem", "ex1", "--solver", "spg1", "--runs", "5", "--x0", "1,1,1"],
+    ["multistart", "--problem", "ex1", "--x0", "1,1,1"],
+    ["trace", "--problem", "ex1", "--x0", "1,1,1"],
 ])
 def test_argparse_errors_exit_usage(argv, capsys):
     # argparse's own exit code 2 would read as "some solver hit the iteration cap"
@@ -125,30 +135,37 @@ def test_one_parser_per_process_parses_each_call_afresh(capsys, monkeypatch):
 
 
 _SHARED_DEFAULTS = {
-    "problem": "ex1", "solver": None, "x0": None, "runs": 100, "seed": 0, "tol": 1e-6,
-    "max_iters": 500, "rho": 1e-4, "tau": 0.05, "merit": "rayleigh", "out": None,
-    "format": "csv", "paper_literal_safeguards": False,
+    "problem": "ex1", "solver": None, "seed": 0, "tol": 1e-6, "max_iters": 500, "rho": 1e-4,
+    "tau": 0.05, "merit": "rayleigh", "out": None, "format": None, "paper_literal_safeguards": False,
 }
 _SHARED_ARGV = [
-    "--problem", "rand:n=4", "--solver", "spg1", "--solver", "spp", "--x0", "1,2,3,4",
-    "--runs", "7", "--seed", "3", "--tol", "1e-8", "--max-iters", "9", "--rho", "0.1",
-    "--tau", "0.2", "--merit", "log", "--out", "f.json", "--format", "json",
-    "--paper-literal-safeguards",
+    "--problem", "rand:n=4", "--solver", "spg1", "--solver", "spp", "--seed", "3", "--tol", "1e-8",
+    "--max-iters", "9", "--rho", "0.1", "--tau", "0.2", "--merit", "log", "--out", "f.json",
+    "--format", "json", "--paper-literal-safeguards",
 ]
+# Each subcommand's own option: its default, and a value given on the command line.
+_OWN_OPTION = {"solve": ("x0", None, "1,2,3,4"), "multistart": ("runs", 100, "7")}
 
 
-@pytest.mark.parametrize("command", ["solve", "multistart", "trace"])
-def test_subcommands_share_the_thirteen_options(command, capsys):
+@pytest.mark.parametrize("command", ["solve", "multistart"])
+def test_subcommands_share_eleven_options(command, capsys):
     parser = build_parser()
-    assert vars(parser.parse_args([command, "--problem", "ex1"])) == {"command": command, **_SHARED_DEFAULTS}
-    given = vars(parser.parse_args([command, *_SHARED_ARGV]))
-    assert given == {**vars(parser.parse_args(["solve", *_SHARED_ARGV])), "command": command}
-    assert all(given[key] != value for key, value in _SHARED_DEFAULTS.items())
+    key, default, value = _OWN_OPTION[command]
+    flag = f"--{key}"
+    assert vars(parser.parse_args([command, "--problem", "ex1"])) == {
+        "command": command, **_SHARED_DEFAULTS, key: default}
+    given = vars(parser.parse_args([command, *_SHARED_ARGV, flag, value]))
+    other = "multistart" if command == "solve" else "solve"
+    given_other = vars(parser.parse_args([other, *_SHARED_ARGV]))
+    assert set(given) == {"command", key, *_SHARED_DEFAULTS}
+    assert all(given[k] == given_other[k] != v for k, v in _SHARED_DEFAULTS.items())
+    assert given[key] != default
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    assert all(f"--{key.replace('_', '-')}" in text for key in _SHARED_DEFAULTS)
+    assert all(f"--{k.replace('_', '-')}" in text for k in _SHARED_DEFAULTS)
+    assert flag in text and f"--{_OWN_OPTION[other][0]}" not in text
 
 
 def test_solve_json_without_out_prints_only_the_document(capsys, tmp_path):
@@ -200,6 +217,16 @@ def test_multistart_same_start_set_across_solvers(tmp_path):
     assert all(sorted(v) == ["spg1", "spg2"] for v in by_run.values())
 
 
+def test_solve_format_csv_without_out_prints_only_the_trace(capsys, tmp_path):
+    out = tmp_path / "trace.csv"
+    base = ["solve", "--problem", "ex1", "--solver", "spg1", "--solver", "spp", "--x0", "1,1,1"]
+    assert main(base + ["--format", "csv"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main(base + ["--out", str(out)]) == EXIT_OK
+    assert "Alg." in capsys.readouterr().out
+    assert printed == out.read_text() and printed.startswith("k,solver,lambda")
+
+
 def test_multistart_usage_errors():
     assert main(["multistart", "--problem", "ex1", "--runs", "1"]) == EXIT_USAGE
     assert main(["multistart", "--problem", "ex1", "--runs", "5", "--x0", "1,1,1"]) == EXIT_USAGE
@@ -228,11 +255,20 @@ def test_multistart_json_without_out_prints_only_the_document(capsys, tmp_path):
         for row in doc:
             row.pop("time")
     assert printed == written
-    # CSV rows go to --out only; without it the summary is printed alone
+    # without --format or --out the summary is printed alone
     assert main(base[:-2]) == EXIT_OK
     text = capsys.readouterr().out
     assert text.count("\n") == summary.count("\n") == 3
     assert "run,solver" not in text
+    # an explicit --format csv prints the rows alone, as --out writes them by default
+    out_csv = tmp_path / "runs.csv"
+    assert main(base[:-1] + ["csv"]) == EXIT_OK
+    printed = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert main(base[:-2] + ["--out", str(out_csv)]) == EXIT_OK
+    written = read_csv(out_csv)
+    assert len(printed) == 2 * 2 and list(printed[0]) == list(written[0])
+    for a, b in zip(printed, written):
+        assert {**a, "time": None} == {**b, "time": None}
 
 
 def test_multistart_spg1_reaches_top_eigenvalue_most_often(tmp_path):
@@ -255,7 +291,7 @@ def test_multistart_spg1_reaches_top_eigenvalue_most_often(tmp_path):
 def test_trace_csv_shape(tmp_path):
     out = tmp_path / "trace.csv"
     code = main([
-        "trace", "--problem", "ex2:n=5", "--x0", "1,1,1,1,1", "--out", str(out),
+        "solve", "--problem", "ex2:n=5", "--x0", "1,1,1,1,1", "--out", str(out),
     ])
     assert code == EXIT_OK
     rows = read_csv(out)
@@ -275,7 +311,7 @@ def test_trace_csv_shape(tmp_path):
 def test_trace_rows_match_iters(tmp_path):
     out_csv = tmp_path / "t.csv"
     out_json = tmp_path / "t.json"
-    base = ["trace", "--problem", "ex1", "--solver", "spg1", "--x0", "1,1,1"]
+    base = ["solve", "--problem", "ex1", "--solver", "spg1", "--x0", "1,1,1"]
     assert main(base + ["--out", str(out_csv)]) == EXIT_OK
     assert main(base + ["--format", "json", "--out", str(out_json)]) == EXIT_OK
     rows = read_csv(out_csv)
@@ -286,7 +322,7 @@ def test_trace_rows_match_iters(tmp_path):
 def test_trace_byte_identical_across_runs(tmp_path):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
-    base = ["trace", "--problem", "ex3", "--seed", "9"]
+    base = ["solve", "--problem", "ex3", "--seed", "9"]
     assert main(base + ["--out", str(out1)]) == EXIT_OK
     assert main(base + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
@@ -318,3 +354,17 @@ def test_merit_flag_round_trip():
         "--x0", "1,1,1", "--merit", "rayleigh",
     ])
     assert code in (EXIT_OK, EXIT_MAX_ITERS)
+
+
+def test_python_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "teicp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("solve", "--problem", "ex1", "--x0", "1,1,1")
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("Alg.")
+    assert run().returncode == EXIT_USAGE

@@ -214,3 +214,5 @@ def test_evaluate_shares_lambda_between_merits(rng):
     y = A.contract_m_minus_1(x) - ray.lam * B.contract_m_minus_1(x)
     assert np.array_equal(ray.y, y) and np.array_equal(logm.y, y)
     assert np.array_equal(ray.gradient, (4 / B.contract_m(x)) * y)
+    # the Rayleigh gradient is computed when read; the log gradient is stored
+    assert ray.gradient is not ray.gradient and logm.gradient is logm.gradient

@@ -95,6 +95,10 @@ def test_parse_problem_rejects_bad_input():
         parse_problem("ex2:k=5")
     with pytest.raises(ValueError):
         parse_problem("ex1:n=4")  # fixed at dimension 3
+    for kind in ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6"):
+        # build reads the seed of rand alone, so a seed elsewhere is rejected, not dropped
+        with pytest.raises(ValueError, match="only rand takes a seed"):
+            parse_problem(f"{kind}:n=3,seed=77")
     with pytest.raises(ValueError):
         ProblemSpec(kind="ex2", n=0)
     with pytest.raises(ValueError):
