@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_names(args) -> list[str]:
-    names = args.solver or list(SOLVERS)
+    names = list(dict.fromkeys(args.solver or SOLVERS))  # each solver once, in first-seen order
     for name in names:
         if name not in SOLVERS:
             raise UsageError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")

@@ -105,9 +105,12 @@ def parse_problem(text: str) -> ProblemSpec:
     if tail:
         for piece in tail.split(","):
             key, eq, value = piece.partition("=")
-            if not eq or key.strip() not in ("n", "m", "seed"):
+            key = key.strip()
+            if not eq or key not in ("n", "m", "seed"):
                 raise ValueError(f"bad problem parameter {piece!r} in {text!r}")
-            params[key.strip()] = int(value)
+            if key in params:
+                raise ValueError(f"repeated problem parameter {key!r} in {text!r}")
+            params[key] = int(value)
     if "seed" in params and kind != "rand":
         raise ValueError(f"only rand takes a seed, got {text!r}")
     if kind in ("ex1", "ex3"):

@@ -329,10 +329,6 @@ class ZIdentity(TensorOperator):
         if m == 2:
             return np.eye(self.dim)
         sq = float(x.dot(x))
-        if sq == 0.0 and m > 4:
-            raise ValueError(
-                "matrix contraction of the sphere identity needs x != 0 for order > 4"
-            )
         lead = _power(sq, (m - 2) // 2)
         cross = (m - 2) * (1.0 if m == 4 else _power(sq, (m - 4) // 2))
         # Built in place, with the bits of (lead I + cross x x') / (m - 1) but

@@ -1,50 +1,48 @@
-"""Print one line per run of the solver comparison corpus.
+"""Run the solver cases that gate a refactor, one line per run.
 
-A refactor that must keep every report bit-identical is checked by running
-this script in both trees and comparing the outputs::
-
-    python tests/corpus.py > new.txt          # in the changed tree
-    python tests/corpus.py > old.txt          # in a checkout of the parent
-    diff old.txt new.txt                      # no output: no report changed
-
-Copy the script into the parent checkout if it is not there yet.  It imports
-``teicp`` from the ``src`` directory next to it, so each tree runs its own code.
-The same check is one command::
+A refactor must keep every report bit-identical, or explain each change in
+``CHANGES.md``.  This script owns that check's cases and its one diff::
 
     python tests/corpus.py --against HEAD~1
 
 exports that revision's ``src`` with ``git archive`` into a temporary
-directory next to a copy of this script, runs the corpus on both trees at
-once (one BLAS thread each), prints each tree's run counts, and then prints
-"identical" if the two outputs are, or else the ``--compare`` summary.
+directory next to a copy of this tree's ``tests/*.py``, runs both sets below
+on both trees at once (one BLAS thread each), prints each tree's run counts,
+and then per set "identical", or else the ``--compare`` summary.
+``python tests/corpus.py > out.txt`` prints both sets, each after a
+``# golden`` or ``# corpus`` line, and ``--compare old.txt new.txt``
+summarizes two such outputs per set: whether the entries and packed-matrix
+digests are equal, each run whose status or iteration count changed, and
+per status the number of runs whose lambda bits changed with the largest
+|dlam| among them.
 
-A change that is meant to alter bits is summarized instead of diffed::
+The golden set has 308 runs: the acceptance starts (``STARTS``), starts
+``random_start(n, s)`` for s < 4 on rand:n=6,m=4 and rand:n=4,m=6, an
+indefinite B, ex1 from two vertices and ex2:n=5 from ones, e1, e5 and near
+e1.  Every solver runs under the Rayleigh merit and under ``max_iters=3``,
+and spg1 and spg2 also under the log merit and with
+``paper_literal_safeguards=True``.  ``test_golden_reports`` checks its lines
+against ``golden.txt`` bit for bit; ``--record`` re-records that file and
+prints how it changed, which is for intended and explained changes only.
 
-    python tests/corpus.py --compare old.txt new.txt
-
-prints whether the entries and packed-matrix digests are equal, each run
-whose status or iteration count changed, and per status the number of runs
-whose lambda bits changed with the largest |dlam| among them.
-
-The corpus has 5,940 runs.  The starts are ``random_start(n, 20240 + r)``:
-r < 100 on ex1, ex2:n=5, ex3, ex4:n=5, ex5:n=5 and ex6:n=5 (the criterion-8
+The corpus set has 5,940 runs from ``random_start(n, 20240 + r)``: r < 100
+on ex1, ex2:n=5, ex3, ex4:n=5, ex5:n=5 and ex6:n=5 (the criterion-8
 starts), and r < 12 on rand:n=20,m=4,seed=1, rand:n=6,m=6,seed=1,
-rand:n=16,m=4,seed=0, rand:n=6,m=4 and rand:n=4,m=6.  Each start runs every
-solver under the Rayleigh merit, and spg1 and spg2 also under the log merit
-and with ``paper_literal_safeguards=True``.  Every run keeps its iterates.
+rand:n=16,m=4,seed=0, rand:n=6,m=4 and rand:n=4,m=6, under all configs but
+``max_iters=3``.  Each of its problems first gets a line with the sha256
+digest of its tensor's entries and one with the digest of the packed matrix
+its contractions read (``T._packed``), so it covers the tensor builders too.
 
-Each problem first gets a line with the sha256 digest of its tensor's
-entries and one with the digest of the packed matrix its contractions read
-(``T._packed``), so the comparison covers the tensor builders too.  Each
-run's line holds the case key (problem, start, solver, config), the status,
-the iteration count, ``lam.hex()``, and sha256 digests of x, of the residual
-triple, of the trace rows and of the iterates.  A run that raises prints the
-exception's type in place of the report.  The run count goes to stderr,
-with how many runs end ``Converged`` and how many of those certify (max
-violation of the residual triple within their config's ``tol``), so stdout
-stays comparable between trees.
+Every run keeps its iterates.  Its line is the case key (problem, start,
+solver, config), the status, the iteration count, ``lam.hex()`` and one
+sha256 digest of x, the residual triple, the trace rows and the iterates, in
+that order; a run that raises prints the exception's type in place of the
+report.  Each set's run count goes to stderr, with how many runs end
+``Converged`` and how many of those certify (max violation of the residual
+triple within their config's ``tol``), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
-It takes about 20 s on a 2-core x86-64 VM (numpy 2.4, one BLAS thread).
+Both sets take about 13 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
+thread), the golden set about 1 s of it.
 """
 
 from __future__ import annotations
@@ -59,14 +57,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from helpers import lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
 from teicp.solvers import SOLVERS, SolverConfig, Status  # noqa: E402
+from teicp.tensor import HIdentity, diagonal_tensor  # noqa: E402
+from test_acceptance import STARTS  # noqa: E402
 
+GOLDEN = Path(__file__).with_name("golden.txt")
 SEED = 20240
 PROBLEMS = (
     [(p, 100) for p in ("ex1", "ex2:n=5", "ex3", "ex4:n=5", "ex5:n=5", "ex6:n=5")]
@@ -77,7 +80,36 @@ CONFIGS = {
     "rayleigh": (SolverConfig(keep_iterates=True), tuple(SOLVERS)),
     "log": (SolverConfig(merit=MeritKind.LOGARITHMIC, keep_iterates=True), ("spg1", "spg2")),
     "literal": (SolverConfig(paper_literal_safeguards=True, keep_iterates=True), ("spg1", "spg2")),
+    "max_iters=3": (SolverConfig(max_iters=3, keep_iterates=True), tuple(SOLVERS)),
 }
+
+
+def gate_cases():
+    """(problem, starts): the acceptance starts, and four seeded starts on two rand tensors."""
+    for name, x0 in STARTS.items():
+        yield name, [np.array(x0)]
+    yield "rand:n=6,m=4", [random_start(6, seed) for seed in range(4)]
+    yield "rand:n=4,m=6", [random_start(4, seed) for seed in range(4)]
+
+
+def _golden_problems():
+    for problem, starts in gate_cases():
+        yield problem, build(parse_problem(problem)), starts
+    # B x^m = 1 - 1 = 0 at [1, 1], and B x^m = -1 < 0 at [0, 1]
+    indefinite = (HIdentity(4, 2), diagonal_tensor([1.0, -1.0], 4))
+    yield "H(4,2)/diag(1,-1)", indefinite, [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+    yield "ex1 vertices", build(parse_problem("ex1")), [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+    # Near e1, ||g|| < tol at k = 0 while the projected step is not small.
+    yield "diag5", build(parse_problem("ex2:n=5")), [np.ones(5), np.eye(5)[0], np.eye(5)[4], np.eye(5)[0] + 1e-3]
+
+
+def _corpus_problems():
+    for problem, count in PROBLEMS:
+        A, B = build(parse_problem(problem))
+        yield problem, (A, B), [random_start(A.dim, SEED + r) for r in range(count)]
+
+
+SETS = {"golden": (_golden_problems, tuple(CONFIGS)), "corpus": (_corpus_problems, ("rayleigh", "log", "literal"))}
 
 
 def _digest(parts) -> str:
@@ -89,42 +121,59 @@ def _digest(parts) -> str:
 
 def report_line(rep) -> str:
     r = rep.residual
-    return " ".join(
-        (
-            rep.status.value,
-            str(rep.iters),
-            rep.pair.lam.hex(),
-            _digest([rep.pair.x]),
-            _digest([[r.primal, r.dual, r.comp]]),
-            _digest([dataclasses.astuple(t) for t in rep.trace]),
-            _digest(rep.iterates),
-        )
-    )
+    parts = [rep.pair.x, [r.primal, r.dual, r.comp], *map(dataclasses.astuple, rep.trace), *rep.iterates]
+    return f"{rep.status.value} {rep.iters} {rep.pair.lam.hex()} {_digest(parts)}"
 
 
-def _read(path) -> tuple[dict, dict]:
-    """({kind: {problem: digest}} for entries and packed, case key -> report fields) of one output."""
+def run_set(name: str) -> tuple[list[str], str]:
+    """One set's output lines, and its run count with how many end ``Converged`` and certify."""
+    problems, configs = SETS[name]
+    lines, runs, converged, certified = [], 0, 0, 0
+    for problem, (A, B), starts in problems():
+        if name == "corpus":  # golden.txt holds runs only
+            for kind, array in (("entries", A.entries), ("packed", A._packed)):
+                lines.append(f"{problem} {kind} {hashlib.sha256(array.tobytes()).hexdigest()}")
+        for i, x0 in enumerate(starts):
+            for config in configs:
+                cfg, solvers = CONFIGS[config]
+                for solver in solvers:
+                    try:
+                        rep = SOLVERS[solver](A, B, x0, cfg)
+                    except Exception as exc:  # a raise is a result to compare too
+                        line = f"raises {type(exc).__name__}"
+                    else:
+                        line = report_line(rep)
+                        if rep.status is Status.CONVERGED:
+                            converged += 1
+                            certified += rep.residual.max_violation() <= cfg.tol
+                    lines.append(f"{problem} x0#{i} {solver} {config} {line}")
+                    runs += 1
+    return lines, f"{runs} runs, {converged} Converged, {certified} of them certified"
+
+
+def _read(lines) -> tuple[dict, dict]:
+    """({kind: {problem: digest}} for entries and packed, case key -> report fields) of one set."""
     digests, runs = {"entries": {}, "packed": {}}, {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in lines:
         words = line.split()
-        if words[1] in digests:
-            digests[words[1]][words[0]] = words[2]
+        if words[-2] in digests:
+            digests[words[-2]][" ".join(words[:-2])] = words[-1]
         else:
-            runs[" ".join(words[:4])] = words[4:]
+            # the key ends two words after the start, as problem names may hold spaces
+            end = 3 + next(k for k, word in enumerate(words) if word.startswith("x0#"))
+            runs[" ".join(words[:end])] = words[end:]
     return digests, runs
 
 
-def compare(old_path, new_path) -> list[str]:
-    """The lines ``--compare`` prints for two outputs of this script."""
-    # Imported here: the copy that ``--against`` runs has no helpers.py next to it.
-    from helpers import lam_change
-    (old_digests, old_runs), (new_digests, new_runs) = _read(old_path), _read(new_path)
+def compare(old_lines, new_lines) -> list[str]:
+    """The lines ``--compare`` prints for two outputs of one set."""
+    (old_digests, old_runs), (new_digests, new_runs) = _read(old_lines), _read(new_lines)
     out = []
     for kind, old in old_digests.items():
         new = new_digests[kind]
-        if old == new:
+        if old == new and new:
             out.append(f"{kind} digests equal ({len(new)} problems)")
-        else:
+        elif old != new:
             differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
             out.append(f"{kind} digests differ: {', '.join(differ)}")
     for name, runs in (("old", old_runs), ("new", new_runs)):
@@ -150,17 +199,47 @@ def compare(old_path, new_path) -> list[str]:
     return out
 
 
+def _sets(text: str) -> dict[str, list[str]]:
+    """Each set's lines in one output of this script, by the set's name."""
+    sets, lines = {}, None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            lines = sets.setdefault(line[2:], [])
+        elif lines is None:
+            raise ValueError(f"not an output of this script: {line!r} comes before a '# set' line")
+        else:
+            lines.append(line)
+    return sets
+
+
+def compare_outputs(old_text: str, new_text: str) -> list[str]:
+    """Per set, "identical" or how it changed, for two outputs of this script."""
+    old, new = _sets(old_text), _sets(new_text)
+    out = []
+    for name in dict.fromkeys([*old, *new]):
+        if old.get(name) == new.get(name):
+            out.append(f"{name}: identical")
+        else:
+            out += [f"{name}:", *("  " + line for line in compare(old.get(name, []), new.get(name, [])))]
+    return out
+
+
+def export_src(rev: str, dest: Path) -> None:
+    """Extract ``rev``'s ``src`` directory into ``dest`` with ``git archive``."""
+    tar = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
 def against(rev: str) -> int:
-    """Run the corpus on ``rev``'s ``src`` and on this tree's; print how they compare."""
+    """Run both sets on ``rev``'s ``src`` and on this tree's; print how they compare."""
     script = Path(__file__).resolve()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        tar = tmp / "src.tar"
-        subprocess.run(["git", "archive", "--output", str(tar), rev, "src"], cwd=script.parents[1], check=True)
-        subprocess.run(["tar", "-xf", str(tar), "-C", str(tmp)], check=True)
+        export_src(rev, tmp)
         (tmp / "tests").mkdir()
-        shutil.copy(script, tmp / "tests" / script.name)
+        for path in script.parent.glob("*.py"):
+            shutil.copy(path, tmp / "tests" / path.name)
         trees = {rev: tmp / "tests" / script.name, "this tree": script}
         outs = {name: tmp / f"{i}.txt" for i, name in enumerate(trees)}
         procs = {}
@@ -174,46 +253,35 @@ def against(rev: str) -> int:
             if proc.returncode:
                 print(f"{name}: corpus failed with exit code {proc.returncode}\n{errs[name]}", file=sys.stderr)
                 return 1
-            print(f"{name}: {errs[name]}")
-        old, new = outs.values()
-        if old.read_bytes() == new.read_bytes():
-            print("identical")
-        else:
-            print("\n".join(compare(old, new)))
+            print("\n".join(f"{name} {line}" for line in errs[name].splitlines()))
+        old, new = (path.read_text(encoding="utf-8") for path in outs.values())
+    print("\n".join(compare_outputs(old, new)))
     return 0
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print or compare the solver comparison corpus.")
+    parser = argparse.ArgumentParser(description="Print, record or compare the golden and corpus sets.")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize how two outputs differ")
-    parser.add_argument("--against", metavar="REV", help="run the corpus on REV's src and on this tree, and compare")
+    parser.add_argument("--against", metavar="REV", help="run both sets on REV's src and on this tree, and compare")
+    parser.add_argument("--record", action="store_true", help="re-record golden.txt and say what changed")
     args = parser.parse_args()
     if args.compare:
-        print("\n".join(compare(*args.compare)))
+        old, new = (Path(path).read_text(encoding="utf-8") for path in args.compare)
+        print("\n".join(compare_outputs(old, new)))
         return 0
     if args.against:
         return against(args.against)
-    runs = converged = certified = 0
-    for problem, count in PROBLEMS:
-        A, B = build(parse_problem(problem))
-        print(f"{problem} entries {hashlib.sha256(A.entries.tobytes()).hexdigest()}")
-        print(f"{problem} packed {hashlib.sha256(A._packed.tobytes()).hexdigest()}")
-        for r in range(count):
-            x0 = random_start(A.dim, SEED + r)
-            for config, (cfg, names) in CONFIGS.items():
-                for name in names:
-                    try:
-                        rep = SOLVERS[name](A, B, x0, cfg)
-                        line = report_line(rep)
-                    except Exception as exc:  # a raise is a result to compare too
-                        line = f"raises {type(exc).__name__}"
-                    else:
-                        if rep.status is Status.CONVERGED:
-                            converged += 1
-                            certified += rep.residual.max_violation() <= cfg.tol
-                    print(f"{problem} x0#{r} {name} {config} {line}")
-                    runs += 1
-    print(f"{runs} runs, {converged} Converged, {certified} of them certified", file=sys.stderr)
+    if args.record:
+        lines, counts = run_set("golden")
+        old = GOLDEN.read_text(encoding="utf-8").splitlines() if GOLDEN.exists() else []
+        GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"golden: {counts}", file=sys.stderr)
+        print("\n".join(compare(old, lines)))
+        return 0
+    for name in SETS:
+        lines, counts = run_set(name)
+        print(f"# {name}", *lines, sep="\n")
+        print(f"{name}: {counts}", file=sys.stderr)
     return 0
 
 

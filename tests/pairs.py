@@ -2,8 +2,8 @@
 
     python tests/pairs.py --against HEAD~1 --workload paper --pairs 10 --seconds 28 --seed 1
 
-exports REV's ``src`` with ``git archive`` into a temporary directory, as
-``corpus.py --against`` does, and copies this tree's ``src`` into another.
+exports REV's ``src`` into a temporary directory with ``corpus.py``'s
+``export_src``, and copies this tree's ``src`` into another.
 Each gets a copy of this tree's ``bench`` and ``BENCHMARK.json``, so both
 sides run the same benchmark code on their own ``teicp``.  Pair i runs
 ``bench/run.py --workload W --seed K+i --seconds S --trace T`` once in each
@@ -38,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from corpus import ROOT, export_src
 
 
 def _tree(dest: Path, src_from: str | None) -> Path:
@@ -47,10 +47,7 @@ def _tree(dest: Path, src_from: str | None) -> Path:
     if src_from is None:
         shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
     else:
-        tar = dest / "src.tar"
-        subprocess.run(["git", "archive", "--output", str(tar), src_from, "src"], cwd=ROOT, check=True)
-        subprocess.run(["tar", "-xf", str(tar), "-C", str(dest)], check=True)
-        tar.unlink()
+        export_src(src_from, dest)
     shutil.copytree(ROOT / "bench", dest / "bench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
     return dest

@@ -68,6 +68,8 @@ def test_solve_unknown_problem_and_solver(capsys):
     assert "error" in err
     assert main(["solve", "--problem", "ex4:n=3,seed=77", "--solver", "spg1"]) == EXIT_USAGE
     assert "only rand takes a seed" in capsys.readouterr().err
+    assert main(["solve", "--problem", "rand:n=3,n=5", "--solver", "spg1"]) == EXIT_USAGE
+    assert "repeated problem parameter" in capsys.readouterr().err
 
 
 def test_non_finite_tol_and_tau_are_usage_errors(capsys):
@@ -202,6 +204,17 @@ def test_multistart_row_count_and_determinism(tmp_path):
         a.pop("time")
         b.pop("time")
         assert a == b
+
+
+def test_repeated_solver_runs_once(capsys, tmp_path):
+    out = tmp_path / "m.csv"
+    argv = ["multistart", "--problem", "ex1", "--solver", "spg1", "--solver", "spg1", "--runs", "3"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.count("spg1  converged 3/3") == 1
+    assert len(read_csv(out)) == 3
+    argv = ["solve", "--problem", "ex1", "--solver", "spg1", "--solver", "spg1", "--x0", "1,1,1"]
+    assert main(argv) == EXIT_OK
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]] == ["spg1"]
 
 
 def test_multistart_same_start_set_across_solvers(tmp_path):

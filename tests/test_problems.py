@@ -95,6 +95,8 @@ def test_parse_problem_rejects_bad_input():
         parse_problem("ex2:k=5")
     with pytest.raises(ValueError):
         parse_problem("ex1:n=4")  # fixed at dimension 3
+    with pytest.raises(ValueError, match="repeated problem parameter 'n'"):
+        parse_problem("rand:n=3,n=5")
     for kind in ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6"):
         # build reads the seed of rand alone, so a seed elsewhere is rejected, not dropped
         with pytest.raises(ValueError, match="only rand takes a seed"):

@@ -1,17 +1,14 @@
 import dataclasses
-import hashlib
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import teicp.solvers
 
-from corpus import compare
-from helpers import ReduceTensor, ascent_direction_check, check_lemma1, lam_change, min_eig_det_bisect
-from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, STARTS, TABLE_MEDIANS
+from corpus import GOLDEN, compare, compare_outputs, gate_cases, run_set
+from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect
+from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
 from teicp.merit import MeritKind, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import project_sphere_plus
@@ -519,27 +516,6 @@ def test_solvers_reject_non_finite_x0(name, ex1):
             SOLVERS[name](A, B, np.array([bad, 1.0, 1.0]))
 
 
-def _fingerprint(rep):
-    """Every bit of a report except its wall time."""
-    r = rep.residual
-    return (
-        rep.status,
-        rep.iters,
-        rep.pair.lam.hex(),
-        rep.pair.x.tobytes(),
-        np.array([r.primal, r.dual, r.comp]).tobytes(),
-        [np.array(dataclasses.astuple(t), dtype=float).tobytes() for t in rep.trace],
-        [x.tobytes() for x in rep.iterates],
-    )
-
-
-def _gate_cases():
-    for name, x0 in STARTS.items():
-        yield name, [np.array(x0)]
-    yield "rand:n=6,m=4", [random_start(6, seed) for seed in range(4)]
-    yield "rand:n=4,m=6", [random_start(4, seed) for seed in range(4)]
-
-
 def _trace_rows(rep):
     return np.array([dataclasses.astuple(t) for t in rep.trace], dtype=float)
 
@@ -553,7 +529,7 @@ def test_gemv_pass_matches_per_call_reduce():
     1.0e-11, trace rows 3.5e-10 relative to max(1, |value|)).
     """
     runs = 0
-    for problem, starts in _gate_cases():
+    for problem, starts in gate_cases():
         A, B = build(parse_problem(problem))
         A_ref = ReduceTensor(A.entries)
         for name, solver in SOLVERS.items():
@@ -783,103 +759,28 @@ def test_shift_zero_when_hessian_convex():
     assert convexity_shift(np.diag([0.06, 0.9]), 0.05, 4) == 0.0
 
 
-# --- golden reports ----------------------------------------------------------
-
-GOLDEN_PATH = Path(__file__).with_name("golden_solver_reports.json")
-_SPG = ("spg1", "spg2")
-_GOLDEN_CONFIGS = {
-    "rayleigh": ({}, tuple(SOLVERS)),
-    "log": ({"merit": MeritKind.LOGARITHMIC}, _SPG),
-    "literal": ({"paper_literal_safeguards": True}, _SPG),
-    "max_iters=3": ({"max_iters": 3}, tuple(SOLVERS)),
-}
-
-
-def _golden_problems():
-    for problem, starts in _gate_cases():
-        yield problem, build(parse_problem(problem)), starts
-    # B x^m = 1 - 1 = 0 at [1, 1], and B x^m = -1 < 0 at [0, 1]
-    indefinite = (HIdentity(4, 2), diagonal_tensor([1.0, -1.0], 4))
-    yield "H(4,2)/diag(1,-1)", indefinite, [np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    vertices = [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
-    yield "ex1 vertices", build(parse_problem("ex1")), vertices
-    diag5 = (diagonal_tensor([(i - 1.0) / i for i in range(1, 6)], 4), ZIdentity(4, 5))
-    # Near e1, ||g|| < tol at k = 0 while the projected step is not small.
-    yield "diag5", diag5, [np.ones(5), np.eye(5)[0], np.eye(5)[4], np.eye(5)[0] + 1e-3]
-
-
-def golden_reports() -> dict:
-    """Status, iterations, lambda and a digest of every other report bit, per case."""
-    out = {}
-    for problem, (A, B), starts in _golden_problems():
-        for i, x0 in enumerate(starts):
-            for config, (fields, names) in _GOLDEN_CONFIGS.items():
-                cfg = SolverConfig(keep_iterates=True, **fields)
-                for name in names:
-                    rep = SOLVERS[name](A, B, x0, cfg)
-                    status, iters, lam, x, res, trace, iterates = _fingerprint(rep)
-                    digest = hashlib.sha256()
-                    for part in (x, res, *trace, *iterates):
-                        digest.update(part)
-                    out[f"{problem} x0#{i} {name} {config}"] = {
-                        "status": status.value,
-                        "iters": iters,
-                        "lam": lam,
-                        "sha256": digest.hexdigest(),
-                    }
-    return out
 
 
 def test_golden_reports():
-    """Every solver report matches the recorded one bit for bit.
+    """Every golden-set report matches its line in ``golden.txt`` bit for bit.
 
-    The records in ``golden_solver_reports.json`` were made with numpy
-    2.4.6, when the shift's Rayleigh Hessian became the rank-2 form (its two
-    rank-2 terms combined through the residual y) and each polish Newton
-    step began to solve with one ``inv`` instead of ``lstsq``.  Both round
-    differently, so ``golden_changes`` reads: 76 of 308 entries changed,
-    0 with a changed status or iteration count, 39 lambda bit patterns
-    changed, max |dlam| 1.42e-14.  The changed entries are 36 spp, 36 sspa
-    and 4 spa runs; by status, 42 ``Converged`` (17 lambdas) and 34
-    ``MaxIters`` (22 lambdas), each with max |dlam| 1.4e-14.  Regenerate them with
-    ``python tests/test_solvers.py`` only when a change of results is
+    The lines were recorded with numpy 2.4.6.  Re-record them with
+    ``python tests/corpus.py --record`` only when a change of results is
     intended and explained; it prints what changed against the old file.
     """
-    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    got = golden_reports()
-    assert sorted(got) == sorted(want)
-    for case in want:
-        assert got[case] == want[case], case
-    statuses = {v["status"] for v in want.values()}
-    assert statuses == {s.value for s in Status}
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    got, _ = run_set("golden")
+    assert got == want, "\n".join(compare(want, got))
+    assert {line.split()[-4] for line in want} == {s.value for s in Status}
 
 
-def golden_changes(old: dict, new: dict) -> str:
-    """One line saying how ``new`` golden records differ from ``old``."""
-    shared = sorted(old.keys() & new.keys())
-    changed = [c for c in shared if new[c] != old[c]]
-    runs = [c for c in changed if (new[c]["status"], new[c]["iters"]) != (old[c]["status"], old[c]["iters"])]
-    lams = [c for c in changed if new[c]["lam"] != old[c]["lam"]]
-    dlam = max((lam_change(old[c]["lam"], new[c]["lam"]) for c in lams), default=0.0)
-    return (
-        f"{len(changed)} of {len(shared)} entries changed, {len(new.keys() - old.keys())} added, "
-        f"{len(old.keys() - new.keys())} removed; {len(runs)} with a changed status or iteration count; "
-        f"{len(lams)} lambda bit patterns changed, max |dlam| {dlam:.3g}"
-    )
-
-
-
-def test_corpus_compare_lists_status_and_lambda_changes(tmp_path):
+def test_corpus_compare_lists_status_and_lambda_changes():
     half, moved = (0.5).hex(), (0.5 + 2.0**-40).hex()
-    rows = {
-        "old": ["ex1 entries aa", "ex1 packed bb", f"ex1 x0#0 spa rayleigh Converged 9 {half} d d d d",
-                f"ex1 x0#1 spa rayleigh MaxIters 500 {half} d d d d", "ex1 x0#2 spp rayleigh raises ZeroDivisionError"],
-        "new": ["ex1 entries aa", "ex1 packed bc", f"ex1 x0#0 spa rayleigh Converged 9 {moved} e d d d",
-                f"ex1 x0#1 spa rayleigh Converged 467 {half} d d d d", f"ex1 x0#2 spp rayleigh DomainError 0 {half} d d d d"],
-    }
-    for name, lines in rows.items():
-        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert compare(tmp_path / "old", tmp_path / "new") == [
+    old = ["ex1 entries aa", "ex1 packed bb", f"ex1 x0#0 spa rayleigh Converged 9 {half} d",
+           f"ex1 x0#1 spa rayleigh MaxIters 500 {half} d", "ex1 x0#2 spp rayleigh raises ZeroDivisionError"]
+    new = ["ex1 entries aa", "ex1 packed bc", f"ex1 x0#0 spa rayleigh Converged 9 {moved} e",
+           f"ex1 x0#1 spa rayleigh Converged 467 {half} d", f"ex1 x0#2 spp rayleigh DomainError 0 {half} d"]
+    assert compare(old, new) == [
         "entries digests equal (1 problems)",
         "packed digests differ: ex1",
         "old: 3 runs, 1 Converged",
@@ -890,9 +791,23 @@ def test_corpus_compare_lists_status_and_lambda_changes(tmp_path):
         "lambda bits changed: 1 Converged runs, max |dlam| 9.09e-13",
     ]
 
-if __name__ == "__main__":
-    # Re-record the golden file and say what changed against the one it replaces.
-    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
-    new = golden_reports()
-    GOLDEN_PATH.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(golden_changes(old, new))
+
+def test_corpus_compare_lists_runs_in_one_output_and_no_lambda_change():
+    half = (0.5).hex()
+    old = ["ex1 entries aa", "ex1 packed bb", f"ex1 vertices x0#0 spg1 log Converged 4 {half} d",
+           f"ex1 vertices x0#1 spg1 log Converged 4 {half} d"]
+    new = ["ex1 entries ab", "ex1 packed bb", f"ex1 vertices x0#0 spg1 log Converged 4 {half} e"]
+    assert compare(old, new) == [
+        "entries digests differ: ex1",
+        "packed digests equal (1 problems)",
+        "old: 2 runs, 2 Converged",
+        "new: 1 runs, 1 Converged",
+        "1 runs only in old, 0 only in new",
+        "1 of 1 shared runs changed in some field",
+        "lambda bits changed: none",
+    ]
+    outputs = ["\n".join(["# golden", *lines]) for lines in (old, new)]
+    assert compare_outputs(outputs[0], outputs[0]) == ["golden: identical"]
+    assert compare_outputs(*outputs) == ["golden:", *("  " + line for line in compare(old, new))]
+    with pytest.raises(ValueError, match="comes before a '# set' line"):
+        compare_outputs("\n".join(old), outputs[1])

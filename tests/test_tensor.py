@@ -77,11 +77,12 @@ def test_z_identity_matrix_closed_form_and_fd():
     np.testing.assert_allclose(ZIdentity(4, 2).contract_m_minus_2(x), fd, rtol=1e-6, atol=1e-8)
 
 
-def test_z_identity_matrix_rejects_zero_for_high_order():
-    with pytest.raises(ValueError):
-        ZIdentity(6, 2).contract_m_minus_2([0.0, 0.0])
-    # order 4 stays defined at the origin
-    np.testing.assert_allclose(ZIdentity(4, 2).contract_m_minus_2([0.0, 0.0]), np.zeros((2, 2)))
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_z_identity_matrix_is_zero_at_the_origin(m):
+    Z = ZIdentity(m, 3)
+    assert np.array_equal(Z.contract_m_minus_2(np.zeros(3)), np.zeros((3, 3)))
+    # x . x underflows to 0 here while x is not 0
+    assert np.all(np.isfinite(Z.contract_m_minus_2(np.full(3, 1e-200))))
 
 
 @pytest.mark.parametrize("m", [4, 6])
