@@ -57,11 +57,11 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--solver", action="append", default=None,
                    help="solver id (repeatable); default: all five")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--rho", type=float, default=1e-4)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--merit", choices=("rayleigh", "log"), default="rayleigh")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho)
+    p.add_argument("--tau", type=float, default=SolverConfig.tau)
+    p.add_argument("--merit", choices=[kind.value for kind in MeritKind], default=SolverConfig.merit.value)
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default=None,
                    help="document format; without --out, print the document alone (files default to csv)")
@@ -176,7 +176,7 @@ def _emit(args, summary: list[str], document) -> None:
 
 def cmd_solve(args) -> int:
     """Run each solver from one start; the document is the full reports, or the trace rows as CSV."""
-    results = _run_all(args, lambda n: [_parse_x0(args.x0, n) if args.x0 else random_start(n, args.seed)])
+    results = _run_all(args, lambda n: [random_start(n, args.seed) if args.x0 is None else _parse_x0(args.x0, n)])
     header = f"{'Alg.':<6} {'lambda':>12} {'eigenvector':<40} {'iters':>5} {'residual':>10} {'time(s)':>9}"
     table = [header, "-" * len(header)]
     for _, name, rep in results:

@@ -91,6 +91,8 @@ class ProblemSpec:
             raise ValueError("n must be positive")
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be even and >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
 
     @property
     def b_kind(self) -> str:
@@ -110,7 +112,10 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ValueError(f"bad problem parameter {piece!r} in {text!r}")
             if key in params:
                 raise ValueError(f"repeated problem parameter {key!r} in {text!r}")
-            params[key] = int(value)
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ValueError(f"problem parameter {key!r} must be an integer, got {value!r} in {text!r}") from None
     if "seed" in params and kind != "rand":
         raise ValueError(f"only rand takes a seed, got {text!r}")
     if kind in ("ex1", "ex3"):
@@ -158,4 +163,6 @@ def random_start(n: int, seed: int) -> np.ndarray:
     """Vector with entries uniform on [0, 1]; solvers do their own normalizing."""
     if n < 1:
         raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got seed={seed}")
     return np.random.default_rng(seed).uniform(0.0, 1.0, size=n)

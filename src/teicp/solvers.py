@@ -49,6 +49,7 @@ from .merit import (
     MeritDomainError,
     MeritKind,
     SingularDenominatorError,
+    _pair_check,
     evaluate,
     log_value,
     rayleigh_value,
@@ -201,8 +202,7 @@ def convexity_shift(H, tau: float, order: int) -> float:
 
 
 def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None:
-    if A.order != B.order or A.dim != B.dim:
-        raise ValueError("A and B must share order and dimension")
+    _pair_check(A, B)
     if A.order % 2:
         raise ValueError("solvers require an even tensor order")
     if x0.shape != (A.dim,):
@@ -392,7 +392,7 @@ class _SpgRule:
         self.x, self.g, self.val = x, g, ev.value
         self.d = project_sphere_plus(x + self.beta * g) - x
         stationary = (not start and gnorm <= self.cfg.tol) or _norm(self.d) < self.cfg.tol
-        return (ev.value, gnorm, self.beta, 0.0), None, stationary
+        return (ev.value, gnorm, self.beta, 0.0), stationary
 
     def step(self, x):
         cfg, g, val = self.cfg, self.g, self.val
@@ -427,7 +427,7 @@ class _PowerRule:
     by a step length equal to its norm, before rescaling.  The measure reads
     the gradient, y and the Hessian from the driver's evaluation of the point;
     the point is stationary when the thresholded direction (spp) or y (spa,
-    sspa) is within tol.
+    sspa) is within tol, and spp's step fails where that direction is zero.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -466,11 +466,12 @@ class _PowerRule:
         self.length = gnorm if ascent is g else _norm(ascent)
         # spp stops on its thresholded direction, spa and sspa on the residual.
         stationary = (gnorm if self.scaled else self.length) <= self.cfg.tol
-        degenerate = not self.scaled and self.length == 0.0
-        return (ev.lam, gnorm, 0.0, shift), Status.DOMAIN_ERROR if degenerate else None, stationary
+        return (ev.lam, gnorm, 0.0, shift), stationary
 
     def step(self, x):
         if not self.scaled:
+            if self.length == 0.0:  # a zero direction cannot be renormalized
+                return None, 0.0, Status.DOMAIN_ERROR
             return self.ascent / self.length, 0.0, None
         u = project_sphere_plus(x + self.length * self.ascent)
         try:
@@ -486,19 +487,19 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
 
     The driver makes, evaluates and records every point; the rule measures
     the trace fields from that evaluation, says whether the point is
-    stationary, and proposes the next point.  The run then stops, in this
-    order, on the rule's degenerate-direction failure, at a candidate stop
-    (stationary, or a lambda or x change within tol since the last iterate)
-    whose polished pair certifies at tol, and at the iteration cap;
-    otherwise the rule steps.  A failed step ends the run at the current
-    iterate, whose trace row keeps the step the rule reports.  A point the
-    merit cannot be evaluated at (the start, a line-search trial or a new
-    iterate), which includes a non-finite Rayleigh quotient, ends any solver
-    with DomainError and step 0, as does a non-finite shift Hessian; at the
-    start, the row holds the Rayleigh quotient of the projected x0, NaN where
-    B x^m = 0, and a point whose measure raised gets NaN merit fields.  A
-    Converged report keeps the certified pair and its residual triple; any
-    other report keeps the unit endpoint and its residual.
+    stationary, and proposes the next point.  The run then stops at a
+    candidate stop (stationary, or a lambda or x change within tol since the
+    last iterate) whose polished pair certifies at tol, then at the
+    iteration cap; otherwise the rule steps.  A step that fails ends the run
+    at the current iterate, whose trace row keeps the step the rule reports.
+    A point the merit cannot be evaluated at (the start, a line-search trial
+    or a new iterate), which includes a non-finite Rayleigh quotient, ends
+    any solver with DomainError and step 0, as does a non-finite shift
+    Hessian; at the start, the row holds the Rayleigh quotient of the
+    projected x0, NaN where B x^m = 0, and a point whose measure raised gets
+    NaN merit fields.  A Converged report keeps the certified pair and its
+    residual triple; any other report keeps the unit endpoint and its
+    residual.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -526,11 +527,12 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         while True:
             x, lam = x_new, ev.lam
             fields = _UNMEASURED  # until the measure returns
-            fields, status, stationary = rule.measure(x, ev)
+            fields, stationary = rule.measure(x, ev)
             stalled = x_prev is not None and (
                 abs(lam - lam_prev) <= cfg.tol or _norm(x - x_prev) <= cfg.tol
             )
-            if status is None and (stationary or stalled):
+            status = None
+            if stationary or stalled:
                 # Neither test proves the pair is an eigenpair: stop only if
                 # the polished pair certifies, else go on.
                 polished = _polish(A, B, float(lam), x / _norm(x))

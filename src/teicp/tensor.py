@@ -402,8 +402,5 @@ def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:
         raise ValueError("values must be a nonempty vector")
     if order < 2:
         raise ValueError("tensor order must be at least 2")
-    n = vals.size
-    # The class of (i, ..., i) has id sum_k binom(i + k, k + 1) = binom(i + m, m) - 1.
-    class_values = np.zeros(math.comb(n + order - 1, order))
-    class_values[[math.comb(i + order, order) - 1 for i in range(n)]] = vals
-    return _from_class_values(class_values, n, order)
+    # A class's sorted tuple is (i, ..., i) exactly when its first and last indices agree.
+    return _from_symmetric_formula(vals.size, order, lambda I: np.where(I[0] == I[-1], vals[I[0] - 1], 0.0))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import teicp.cli
-from teicp.cli import EXIT_MAX_ITERS, EXIT_OK, EXIT_USAGE, build_parser, main
+from teicp.cli import EXIT_MAX_ITERS, EXIT_OK, EXIT_USAGE, _config, build_parser, main
 from teicp.problems import build, parse_problem
+from teicp.solvers import SolverConfig
 from teicp.verify import is_pareto_eigenpair
 
 
@@ -84,8 +85,25 @@ def test_fixed_order_problem_with_other_order_is_a_usage_error(capsys):
     assert "m=6" in capsys.readouterr().err
 
 
-def test_solve_bad_x0_length():
+def test_solve_bad_x0_length(capsys):
     assert main(["solve", "--problem", "ex1", "--x0", "1,1"]) == EXIT_USAGE
+    # an empty --x0 is a bad start, not a missing one
+    for text in ("", "1,a,1"):
+        assert main(["solve", "--problem", "ex1", "--x0", text]) == EXIT_USAGE
+        assert f"could not parse --x0 {text!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_or_non_integer_parameter_is_named(capsys):
+    for problem, flags, name in (("ex1", ["--seed", "-1"], "seed"), ("rand:n=3,seed=-2", [], "seed"),
+                                 ("rand:n=3.5", [], "'n'")):
+        for command in (["solve"], ["multistart", "--runs", "2"]):
+            assert main([*command, "--problem", problem, "--solver", "spg1", *flags]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert name in err and "expected non-negative integer" not in err
+
+
+def test_solver_settings_default_to_solver_config():
+    assert _config(build_parser().parse_args(["solve", "--problem", "ex1"])) == SolverConfig()
 
 
 @pytest.mark.parametrize("argv", [

@@ -105,6 +105,14 @@ def test_parse_problem_rejects_bad_input():
         ProblemSpec(kind="ex2", n=0)
     with pytest.raises(ValueError):
         ProblemSpec(kind="rand", n=3, m=3)
+    # each message names the bad parameter, where numpy's and int()'s would not
+    with pytest.raises(ValueError, match="seed must be nonnegative, got seed=-2"):
+        parse_problem("rand:n=3,seed=-2")
+    for text, key in (("rand:n=3.5", "n"), ("rand:m=four", "m"), ("rand:seed=1e3", "seed")):
+        with pytest.raises(ValueError, match=f"problem parameter '{key}' must be an integer"):
+            parse_problem(text)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got seed=-1"):
+        random_start(3, -1)
 
 
 def test_rand_problem_builds_z_pair():

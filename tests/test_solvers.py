@@ -9,7 +9,7 @@ import teicp.solvers
 from corpus import GOLDEN, compare, compare_outputs, gate_cases, run_set
 from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
-from teicp.merit import MeritKind, rayleigh_gradient
+from teicp.merit import MeritKind, evaluate, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import project_sphere_plus
 from teicp.solvers import (
@@ -500,7 +500,7 @@ def test_solvers_reject_bad_problems():
     A = HIdentity(3, 2)  # odd order
     with pytest.raises(ValueError):
         spg1(A, HIdentity(3, 2), np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(4,2\) and \(4,3\)"):
         spg1(HIdentity(4, 2), HIdentity(4, 3), np.ones(2))
     with pytest.raises(ValueError):
         spg1(HIdentity(4, 2), HIdentity(4, 2), np.zeros(2))
@@ -514,6 +514,38 @@ def test_solvers_reject_non_finite_x0(name, ex1):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="x0 must be finite"):
             SOLVERS[name](A, B, np.array([bad, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_start_where_b_form_vanishes_ends_domain_error(name, ex1):
+    """B x^m = 0 at the start: lambda is NaN, in the report and in its one trace row."""
+    A, _ = ex1
+    rep = SOLVERS[name](A, DenseSymmetricTensor(np.zeros((3,) * 4)), np.ones(3))
+    assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0 and len(rep.trace) == 1
+    assert math.isnan(rep.pair.lam) and math.isnan(rep.trace[0].lam)
+    assert math.isnan(rep.residual.max_violation())
+
+
+@pytest.mark.parametrize("problem, lam", [("rand:n=4,m=2,seed=1", 0.433385), ("rand:n=6,m=2,seed=3", 1.059668)])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_order_two_problems_converge_certified(name, problem, lam):
+    """At m = 2 the sphere identity's x^{m-2} matrix is I, which the shift and the polish read."""
+    A, B = build(parse_problem(problem))
+    rep = SOLVERS[name](A, B, random_start(A.dim, 5))
+    assert rep.status is Status.CONVERGED
+    assert rep.pair.lam == pytest.approx(lam, abs=1e-6)
+    assert is_pareto_eigenpair(A, B, rep.pair.lam, rep.pair.x, 1e-6)
+
+
+def test_spp_zero_direction_fails_in_its_step(ex1):
+    """spp's measure only says whether a point is stationary; a zero direction fails the step."""
+    A, B = ex1
+    rule = teicp.solvers._PowerRule(A, B, SolverConfig(), scaled=False, shifted=True)
+    x = np.ones(3) / np.sqrt(3)
+    fields, stationary = rule.measure(x, evaluate(A, B, x, MeritKind.RAYLEIGH))
+    assert len(fields) == 4 and not stationary
+    rule.length = 0.0
+    assert rule.step(x) == (None, 0.0, Status.DOMAIN_ERROR)
 
 
 def _trace_rows(rep):

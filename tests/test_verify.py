@@ -146,6 +146,18 @@ def test_every_emitted_pair_certifies(rng):
                 assert is_pareto_eigenpair(A, B, lam, x, 1e-10)
 
 
+def test_order_two_spectrum_is_the_diagonal_identity_one():
+    """At m = 2 both identities map x to x, so both kinds give one spectrum, and each pair certifies."""
+    diag = [0.5, 1.0, 0.5, -0.25]
+    out = diagonal_pareto_spectrum(diag, 2, "z")
+    for (l1, s1, x1), (l2, s2, x2) in zip(out, diagonal_pareto_spectrum(diag, 2, "h"), strict=True):
+        assert (l1, s1) == (l2, s2) and np.array_equal(x1, x2)
+    assert {s: lam for lam, s, _ in out} == {(0,): 0.5, (1,): 1.0, (2,): 0.5, (0, 2): 0.5, (3,): -0.25}
+    A, B = diagonal_tensor(diag, 2), ZIdentity(2, 4)
+    for lam, _, x in out:
+        assert is_pareto_eigenpair(A, B, lam, x, 1e-12)
+
+
 def test_spectrum_completeness_against_scan():
     check_diag_completeness()
 
