@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import TensorOperator
+from .tensor import TensorOperator, ZIdentity
 
 __all__ = [
     "MeritKind",
@@ -60,7 +60,8 @@ class MeritEval:
     ``lam`` is always A x^m / B x^m regardless of the merit kind; under the
     Rayleigh merit ``value == lam``.  ``y`` is the residual
     A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
-    per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones.
+    per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones, and
+    :meth:`rayleigh_hessian_min_eig` only A's under the sphere identity.
     The record is built once per evaluated point, so it has slots and is
     built positionally; nothing writes to it after.  ``_log_gradient`` is
     None under the Rayleigh merit.
@@ -105,6 +106,47 @@ class MeritEval:
             r = np.multiply.outer(scale * self.y, scale * bxm1)
             H -= r + r.T
         return H
+
+    def rayleigh_hessian_min_eig(self) -> float:
+        """The smallest eigenvalue of the Rayleigh Hessian, the curvature the shift reads.
+
+        Under the sphere identity B x^{m-2} is never formed.  With s = m / b
+        and q = x . x, B x^{m-1} = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q,
+        so H = G - alpha I with alpha = m lam / q,
+        G = (m-1) s A x^{m-2} - (x w' + w x') and
+        w = (m (m-2) lam / (2 q^2)) x + (m s / q) y,
+        and lambda_min(H) = lambda_min(G) - alpha: one n x n matrix, exactly
+        symmetric, and one ``eigvalsh``.  Any other B takes
+        :meth:`rayleigh_hessian`.  Raises :class:`MeritDomainError` where the
+        matrix is not finite, its eigenvalues do not converge or the result
+        is not finite.  The matrix is tested before the solve because LAPACK
+        returns finite eigenvalues for a 2 x 2 matrix with a NaN on its
+        diagonal.
+        """
+        A, B, x, bxm, _ = self._at
+        alpha = 0.0
+        if type(B) is ZIdentity:
+            m = A.order
+            s = m / bxm
+            q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
+            alpha = m * self.lam / q
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = x * (alpha * (m - 2) / (2.0 * q))
+                w += self.y * (m * s / q)
+                M = A.contract_m_minus_2(x) * ((m - 1) * s)
+                r = np.multiply.outer(x, w)
+                M -= r + r.T
+        else:
+            M = self.rayleigh_hessian()
+        if not np.isfinite(M).all():
+            raise MeritDomainError("the Rayleigh Hessian is not finite")
+        try:
+            low = float(np.linalg.eigvalsh(M)[0]) - alpha
+        except np.linalg.LinAlgError as err:
+            raise MeritDomainError("the Rayleigh Hessian's eigenvalues did not converge") from err
+        if not math.isfinite(low):
+            raise MeritDomainError("the Rayleigh Hessian's smallest eigenvalue is not finite")
+        return low
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:

@@ -152,9 +152,11 @@ def build(spec: ProblemSpec) -> tuple[DenseSymmetricTensor, TensorOperator]:
 
 
 def random_symmetric(n: int, m: int, seed: int) -> DenseSymmetricTensor:
-    """Symmetrized tensor with entries drawn uniformly from [-1, 1]."""
-    if n < 1 or m < 2 or m % 2:
-        raise ValueError("need n >= 1 and even m >= 2")
+    """Symmetrized tensor with entries drawn uniformly from [-1, 1].
+
+    n, m and seed obey ``rand``'s rules, which :class:`ProblemSpec` states.
+    """
+    ProblemSpec("rand", n, m, seed)
     rng = np.random.default_rng(seed)
     return symmetrize(rng.uniform(-1.0, 1.0, size=(n,) * m))
 

@@ -177,6 +177,9 @@ def _bb_bounds(grad_norm: float, literal: bool) -> tuple[float, float]:
     return BETA_MIN, BETA_MAX
 
 
+# No solver calls min_eig_sym or convexity_shift: the shift reads
+# MeritEval.rayleigh_hessian_min_eig.  Tests compare against them, and
+# bench/tracer.py looks min_eig_sym up here by name.
 def min_eig_sym(M) -> float:
     """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input).
 
@@ -425,9 +428,10 @@ class _PowerRule:
     orthant and renormalized.  Scaled (sspa, and spa with r = 0): iterates sit
     on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
     by a step length equal to its norm, before rescaling.  The measure reads
-    the gradient, y and the Hessian from the driver's evaluation of the point;
-    the point is stationary when the thresholded direction (spp) or y (spa,
-    sspa) is within tol, and spp's step fails where that direction is zero.
+    the gradient, y and the Rayleigh Hessian's smallest eigenvalue from the
+    driver's evaluation of the point; the point is stationary when the
+    thresholded direction (spp) or y (spa, sspa) is within tol, and spp's
+    step fails where that direction is zero.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -447,17 +451,13 @@ class _PowerRule:
         shift = 0.0
         ascent = g
         if self.shifted:
-            H = ev.rayleigh_hessian()
+            low = ev.rayleigh_hessian_min_eig()
             if self.scaled:
                 # The scaled step field is y, not the full Rayleigh gradient
                 # m y / B x^m, so the curvature matrix for the shift is its
                 # Jacobian, which at the B x^m = 1 scale equals H / m.
-                H /= m
-            try:
-                shift = convexity_shift(H, self.cfg.tau, m)
-            except ValueError as err:
-                # H is exactly symmetric, so only a non-finite H lands here.
-                raise MeritDomainError("the Rayleigh Hessian for the shift is not finite") from err
+                low /= m
+            shift = max(0.0, (self.cfg.tau - low) / m)
             ascent = g + shift * m * x
         if not self.scaled:
             ascent = project_orthant(ascent)

@@ -12,7 +12,8 @@ and then per set "identical", or else the ``--compare`` summary.
 ``python tests/corpus.py > out.txt`` prints both sets, each after a
 ``# golden`` or ``# corpus`` line, and ``--compare old.txt new.txt``
 summarizes two such outputs per set: whether the entries and packed-matrix
-digests are equal, each run whose status or iteration count changed, and
+digests are equal, how many runs changed in some field, in all and per
+(problem, solver), each run whose status or iteration count changed, and
 per status the number of runs whose lambda bits changed with the largest
 |dlam| among them.
 
@@ -48,6 +49,7 @@ thread; 12.5-14.4 s in three runs), the golden set under 0.5 s of it.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import os
@@ -183,8 +185,11 @@ def compare(old_lines, new_lines) -> list[str]:
     if any(only):
         out.append(f"{only[0]} runs only in old, {only[1]} only in new")
     shared = [case for case in old_runs if case in new_runs]
-    changed = sum(old_runs[case] != new_runs[case] for case in shared)
-    out.append(f"{changed} of {len(shared)} shared runs changed in some field")
+    changed = [case for case in shared if old_runs[case] != new_runs[case]]
+    out.append(f"{len(changed)} of {len(shared)} shared runs changed in some field")
+    # a case key is "problem x0#i solver config", and problem names may hold spaces
+    by_pair = collections.Counter(f"{case.partition(' x0#')[0]} {case.split()[-2]}" for case in changed)
+    out += [f"  {count} in {pair}" for pair, count in sorted(by_pair.items())]
     lam_changes = {}
     for case in shared:
         old, new = old_runs[case], new_runs[case]

@@ -24,7 +24,9 @@ from teicp.merit import (
     rayleigh_value,
 )
 from teicp.problems import build, parse_problem, random_symmetric
-from teicp.tensor import HIdentity, ZIdentity, diagonal_tensor
+from teicp.projection import b_normalize
+from teicp.solvers import min_eig_sym
+from teicp.tensor import DenseSymmetricTensor, HIdentity, ZIdentity, diagonal_tensor
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,28 @@ def test_rank_two_hessian_matches_the_three_term_form(problem, rng):
         H = rayleigh_hessian(A, B, x)
         want = three_term_rayleigh_hessian(A, B, x)
         assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max(), problem
+
+
+@pytest.mark.parametrize(
+    "problem",
+    ["rand:n=6,m=4", "rand:n=4,m=6", "rand:n=20,m=4", "rand:n=6,m=6", "rand:n=5,m=2", "ex1", "ex3", "ex4:n=5", "dense"],
+)
+def test_shift_eigenvalue_matches_the_three_term_hessian(problem, rng):
+    """lambda_min of the Rayleigh Hessian, folded under the sphere identity
+    (orders 2, 4 and 6) and formed in full under the diagonal identity and a
+    dense B, is the reference's to 1e-12 of max |H|, at unit, non-unit and
+    B-normalized points."""
+    if problem == "dense":
+        A = random_symmetric(5, 4, 2)
+        B = DenseSymmetricTensor(np.abs(random_symmetric(5, 4, 3).entries))
+    else:
+        A, B = build(parse_problem(problem))
+    for x in sample_sphere_plus(A.dim, 4, rng) + 0.05:
+        x /= np.linalg.norm(x)
+        for point in (x, 3.7 * x, 0.3 * x, b_normalize(x, B)):
+            H = three_term_rayleigh_hessian(A, B, point)
+            got = evaluate(A, B, point).rayleigh_hessian_min_eig()
+            assert abs(got - min_eig_sym(H)) <= 1e-12 * np.abs(H).max(), problem
 
 
 @pytest.mark.parametrize("scale", [1e-110, 1e110])

@@ -72,6 +72,19 @@ def test_random_symmetric_deterministic_and_euler(rng):
         assert abs(float(x @ T1.contract_m_minus_1(x)) - xm) <= 1e-12 * max(1.0, abs(xm))
 
 
+def test_random_symmetric_takes_rands_rules_from_problem_spec():
+    """A negative seed is named instead of reaching numpy, and n and m fail
+    with ProblemSpec's own messages."""
+    with pytest.raises(ValueError, match="seed must be nonnegative, got seed=-1"):
+        random_symmetric(3, 4, -1)
+    for n, m in ((0, 4), (3, 3), (3, 0)):
+        with pytest.raises(ValueError) as want:
+            ProblemSpec("rand", n, m)
+        with pytest.raises(ValueError) as got:
+            random_symmetric(n, m, 0)
+        assert str(got.value) == str(want.value)
+
+
 def test_random_start_contract():
     a = random_start(6, 7)
     b = random_start(6, 7)

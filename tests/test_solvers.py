@@ -357,6 +357,43 @@ def test_non_finite_shift_hessian_ends_domain_error(name, ex1):
     assert math.isnan(rep.trace[0].merit_value) and math.isnan(rep.trace[0].grad_norm)
 
 
+@pytest.mark.parametrize("problem", ["rand:n=2,m=4", "ex1", "ex4:n=5"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["spp", "sspa"])
+def test_non_finite_entry_in_the_shift_matrix_ends_domain_error(name, bad, problem, monkeypatch):
+    """A NaN or an inf in the matrix whose smallest eigenvalue the shift
+    reads, on its diagonal or off it, ends spp and sspa DomainError at k = 0.
+
+    The entry enters through A x^{m-2}, which both the folded sphere-identity
+    matrix and the full Hessian of ex4 scale.  On rand:n=2,m=4 a NaN on the
+    diagonal alone leaves LAPACK's eigenvalues finite, so the matrix is
+    tested before the solve.
+    """
+    for where in ((1, 1), (0, 1)):
+        A, B = build(parse_problem(problem))
+
+        def poisoned(x, matrix=A.contract_m_minus_2, where=where):
+            M = np.array(matrix(x))
+            M[where] = M[where[::-1]] = bad
+            return M
+
+        monkeypatch.setattr(A, "contract_m_minus_2", poisoned)
+        with np.errstate(invalid="ignore"):
+            rep = SOLVERS[name](A, B, np.ones(A.dim))
+        assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0, where
+        assert math.isfinite(rep.pair.lam) and math.isnan(rep.trace[0].merit_value)
+
+
+@pytest.mark.parametrize("name", ["spp", "sspa"])
+def test_shift_eigen_solve_that_does_not_converge_ends_domain_error(name, ex1, monkeypatch):
+    def no_convergence(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    rep = SOLVERS[name](*ex1, np.ones(3))
+    assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0
+
+
 @pytest.mark.parametrize("scale", [1e-110, 1e110])
 def test_tiny_or_huge_b_never_raises(scale, ex1):
     """With B = scale * I (dense), the cube of B x^m under- or overflows.
@@ -818,6 +855,8 @@ def test_corpus_compare_lists_status_and_lambda_changes():
         "old: 3 runs, 1 Converged",
         "new: 3 runs, 2 Converged",
         "3 of 3 shared runs changed in some field",
+        "  2 in ex1 spa",
+        "  1 in ex1 spp",
         "status or iterations: ex1 x0#1 spa rayleigh: MaxIters 500 -> Converged 467",
         "status or iterations: ex1 x0#2 spp rayleigh: raises ZeroDivisionError -> DomainError 0",
         "lambda bits changed: 1 Converged runs, max |dlam| 9.09e-13",
@@ -836,6 +875,7 @@ def test_corpus_compare_lists_runs_in_one_output_and_no_lambda_change():
         "new: 1 runs, 1 Converged",
         "1 runs only in old, 0 only in new",
         "1 of 1 shared runs changed in some field",
+        "  1 in ex1 vertices spg1",
         "lambda bits changed: none",
     ]
     outputs = ["\n".join(["# golden", *lines]) for lines in (old, new)]
