@@ -31,7 +31,6 @@ from .solvers import (
     SolverConfig,
     SolverReport,
     Status,
-    convexity_shift,
     min_eig_sym,
     spa,
     spg1,

@@ -151,8 +151,13 @@ def _report_dict(name: str, rep: SolverReport) -> dict:
     }
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _json_text(doc: list) -> str:
+    """The list as ``[``, one compact JSON value per line, then ``]``.
+
+    ``indent`` would make ``json`` use its pure-Python encoder, which took
+    more than twice the C encoder's time on a solve report.
+    """
+    return "[\n" + ",\n".join(map(json.dumps, doc)) + "\n]\n"
 
 
 def _csv_text(fields, rows) -> str:

@@ -69,7 +69,6 @@ __all__ = [
     "IterationRecord",
     "SolverReport",
     "min_eig_sym",
-    "convexity_shift",
     "spg1",
     "spg2",
     "spp",
@@ -177,9 +176,9 @@ def _bb_bounds(grad_norm: float, literal: bool) -> tuple[float, float]:
     return BETA_MIN, BETA_MAX
 
 
-# No solver calls min_eig_sym or convexity_shift: the shift reads
-# MeritEval.rayleigh_hessian_min_eig.  Tests compare against them, and
-# bench/tracer.py looks min_eig_sym up here by name.
+# No solver calls min_eig_sym: the shift reads
+# MeritEval.rayleigh_hessian_min_eig.  Tests compare against it, and
+# bench/tracer.py looks it up here by name.
 def min_eig_sym(M) -> float:
     """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input).
 
@@ -197,11 +196,6 @@ def min_eig_sym(M) -> float:
             raise ValueError("matrix must be finite")
         raise ValueError("matrix is not symmetric to 1e-8")
     return float(np.linalg.eigvalsh(M)[0])
-
-
-def convexity_shift(H, tau: float, order: int) -> float:
-    """Adaptive shift max(0, (tau - lambda_min(H)) / m) used by spp/sspa."""
-    return max(0.0, (tau - min_eig_sym(H)) / order)
 
 
 def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None:
@@ -224,6 +218,11 @@ _POLISH_TARGET = 1e-10
 # condition, its lambda column scaled to max 1, the polish takes the
 # minimum-norm step instead of J^-1 F.
 _NEWTON_COND_MAX = 1e10
+
+
+def _max(a: np.ndarray):
+    """The largest entry of ``a``: the ufunc reduce ``a.max()`` calls, without its dispatch."""
+    return np.maximum.reduce(a, axis=None)
 
 
 def _polish(A, B, lam, x):
@@ -286,31 +285,36 @@ def _newton_face(A, B, lam, x, support):
     step is the minimum-norm ``lstsq`` one.
     Returns ``(lam, z / ||z||)``.
     """
-    m = A.order
     k = support.size
-    face = np.ix_(support, support)
+    # The face's (k, k) block of an (n, n) matrix, as flat positions for ``take``.
+    face = (support[:, None] * A.dim + support).ravel()
+    zs = x[support] / _norm(x[support])
     z = np.zeros(A.dim)
-    z[support] = x[support] / _norm(x[support])
+    z[support] = zs
     lam_z = float(lam)
-    # F and J, refilled at each step; J's corner entry stays 0.
+    # F and J, refilled at each step through views of their blocks; J's
+    # corner entry stays 0.
     fval = np.empty(k + 1)
     jac = np.zeros((k + 1, k + 1))
+    f_face, j_face, j_col, j_row = fval[:k], jac[:k, :k], jac[:k, k], jac[k, :k]
     for _ in range(_POLISH_NEWTON_STEPS):
-        bz = B.contract_m_minus_1(z)[support]
-        zs = z[support]
-        np.subtract(A.contract_m_minus_1(z)[support], lam_z * bz, out=fval[:k])
+        bz = B.contract_m_minus_1(z).take(support)
+        np.subtract(A.contract_m_minus_1(z).take(support), lam_z * bz, out=f_face)
         fval[k] = 0.5 * (float(zs @ zs) - 1.0)
         if _norm(fval) <= 1e-13 * max(1.0, abs(lam_z)):
             break
-        jac[:k, :k] = (m - 1) * (A.contract_m_minus_2(z)[face] - lam_z * B.contract_m_minus_2(z)[face])
-        jac[:k, k] = -bz
-        jac[k, :k] = zs
+        face_ab = A.contract_m_minus_2(z).take(face) - lam_z * B.contract_m_minus_2(z).take(face)
+        np.multiply(A.order - 1, face_ab.reshape(k, k), out=j_face)
+        np.negative(bz, out=j_col)
+        j_row[:] = zs
         try:
             inv = np.linalg.inv(jac)
             # The estimate is that of J with its lambda column scaled to max 1,
-            # which scales the last row of J^-1 by max|B z^{m-1}|.
-            scale = np.abs(bz).max()
-            cond = max(np.abs(jac[:, :k]).max(), 1.0) * max(np.abs(inv[:k]).max(), scale * np.abs(inv[k]).max())
+            # which scales the last row of J^-1 by max|B z^{m-1}|, the
+            # maximum of |J|'s last column (its corner is 0).
+            abs_jac, abs_inv = np.abs(jac), np.abs(inv)
+            scale = _max(abs_jac[:, k])
+            cond = max(_max(abs_jac[:, :k]), 1.0) * max(_max(abs_inv[:k]), scale * _max(abs_inv[k]))
             regular = cond <= _NEWTON_COND_MAX
         except np.linalg.LinAlgError:
             regular = False
@@ -324,11 +328,13 @@ def _newton_face(A, B, lam, x, support):
                 delta = np.linalg.lstsq(jac, -fval, rcond=None)[0]
             except np.linalg.LinAlgError:
                 return None
-        z[support] += delta[:k]
+        # zs is z[support] throughout: J's last row copied it above.
+        zs += delta[:k]
+        z[support] = zs
         lam_z = lam_z + float(delta[k])
-        if not np.isfinite(z).all() or not math.isfinite(lam_z):
+        if not np.isfinite(zs).all() or not math.isfinite(lam_z):
             return None
-    if (z[support] <= 0.0).any():
+    if (zs <= 0.0).any():
         return None
     return lam_z, z / _norm(z)
 

@@ -40,7 +40,9 @@ sha256 digest of x, the residual triple, the trace rows and the iterates, in
 that order; a run that raises prints the exception's type in place of the
 report.  Each set's run count goes to stderr, with how many runs end
 ``Converged`` and how many of those certify (max violation of the residual
-triple within their config's ``tol``), so stdout stays comparable.
+triple within their config's ``tol``), how many times the driver polished
+(``_polish`` calls) and how many face Newton solves those polishes made
+(``_newton_face`` calls), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
 Both sets take about 13 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
 thread; 12.5-14.4 s in three runs), the golden set under 0.5 s of it.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import os
@@ -64,6 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import teicp.solvers  # noqa: E402
 from helpers import lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
@@ -127,8 +131,36 @@ def report_line(rep) -> str:
     return f"{rep.status.value} {rep.iters} {rep.pair.lam.hex()} {_digest(parts)}"
 
 
+@contextlib.contextmanager
+def _counting(*names):
+    """Count the calls of these ``teicp.solvers`` functions, as {name: count}, within the block."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(teicp.solvers, name) for name in names}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name, fn in originals.items():
+        setattr(teicp.solvers, name, counted(name, fn))
+    try:
+        yield counts
+    finally:
+        for name, fn in originals.items():
+            setattr(teicp.solvers, name, fn)
+
+
 def run_set(name: str) -> tuple[list[str], str]:
-    """One set's output lines, and its run count with how many end ``Converged`` and certify."""
+    """One set's output lines, and its counts: runs, how many end ``Converged``
+    and certify, polishes and face Newton solves."""
+    with _counting("_polish", "_newton_face") as calls:
+        lines, counts = _run_set(name)
+    return lines, f"{counts}, {calls['_polish']} polishes, {calls['_newton_face']} face solves"
+
+
+def _run_set(name: str) -> tuple[list[str], str]:
     problems, configs = SETS[name]
     lines, runs, converged, certified = [], 0, 0, 0
     for problem, (A, B), starts in problems():

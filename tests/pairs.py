@@ -16,10 +16,11 @@ noted on stderr and left out of the medians, the pairs won and ``--out``.
 For every metric the benchmark lists for that trace mode, the script
 prints, as one JSON object, the parent's and the change's medians and
 quartiles (linear interpolation), the parent's interquartile range, the
-change's difference and ratio to the parent, and how many pairs the change
-won (by the metric's ``better`` direction in ``BENCHMARK.json``), with
-every run's value; beside them go each pair's failed-op counts and the
-attempted counts seen.  ``--out FILE`` also writes that summary with every
+change's difference and ratio to the parent, the median and range of the
+per-pair ratios change / parent (the two runs of a pair share a seed), and
+how many pairs the change won (by the metric's ``better`` direction in
+``BENCHMARK.json``), with every run's value; beside them go each pair's
+failed-op counts and the attempted counts seen.  ``--out FILE`` also writes that summary with every
 run's parsed result, in the shape of the ``BENCH_*.json`` files.  Runs are
 sequential, so a pair of 28-s runs takes about a minute.
 Pytest does not collect this file: its name does not start with ``test_``.
@@ -75,19 +76,22 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: list[dict], listed: list[dict]) -> dict:
-    """Per metric: medians, quartiles, parent IQR, change - parent and pairs won."""
+    """Per metric: medians, quartiles, parent IQR, change - parent, per-pair ratios and pairs won."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out: dict = {"pairs": len(sides["change"])}
     for metric in listed:
         name = metric["name"]
         vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in sides.items()}
+        pairs = list(zip(vals["parent"], vals["change"]))
+        ratios = [c / p for p, c in pairs] if all(p for p, _ in pairs) else None
         if len(vals["parent"]) == 1:
-            out[name] = {"parent": vals["parent"][0], "change": vals["change"][0]}
+            out[name] = {"parent": vals["parent"][0], "change": vals["change"][0],
+                         "change_over_parent": ratios and ratios[0]}
             continue
         parent_q, change_q = _quartiles(vals["parent"]), _quartiles(vals["change"])
         parent_med, change_med = statistics.median(vals["parent"]), statistics.median(vals["change"])
         higher = metric["better"] == "higher"
-        won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
+        won = sum((c > p) if higher else (c < p) for p, c in pairs)
         out[name] = {
             "parent_median": parent_med,
             "change_median": change_med,
@@ -96,6 +100,8 @@ def summarize(runs: list[dict], listed: list[dict]) -> dict:
             "parent_iqr": parent_q[1] - parent_q[0],
             "change_minus_parent": change_med - parent_med,
             "change_over_parent": change_med / parent_med if parent_med else None,
+            "pair_ratio_median": ratios and statistics.median(ratios),
+            "pair_ratio_range": ratios and [min(ratios), max(ratios)],
             "pairs_won_by_change": won,
             "parent_runs": vals["parent"],
             "change_runs": vals["change"],

@@ -202,6 +202,19 @@ def test_solve_json_without_out_prints_only_the_document(capsys, tmp_path):
     assert printed == written
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["solve", "--problem", "ex1", "--solver", "spg1", "--solver", "spp", "--x0", "1,1,1"], 2),
+    (["multistart", "--problem", "ex1", "--solver", "spg1", "--solver", "spp", "--runs", "2"], 4),
+])
+def test_json_document_is_one_value_per_line(capsys, argv, count):
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and text.endswith("]\n")
+    values = [json.loads(line.removesuffix(",")) for line in lines[1:-1]]
+    assert len(values) == count and values == json.loads(text)
+
+
 def test_multistart_row_count_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

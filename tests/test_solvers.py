@@ -7,7 +7,7 @@ import pytest
 import teicp.solvers
 
 from corpus import GOLDEN, compare, compare_outputs, gate_cases, run_set
-from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect
+from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect, three_term_rayleigh_hessian
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
 from teicp.merit import MeritKind, evaluate, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
@@ -17,7 +17,6 @@ from teicp.solvers import (
     SolverConfig,
     Status,
     _bb_clamped,
-    convexity_shift,
     min_eig_sym,
     spa,
     spg1,
@@ -90,13 +89,27 @@ def test_min_eig_sym_rejects_non_finite(bad):
     for M in placements:
         with pytest.raises(ValueError, match="finite"):
             min_eig_sym(np.array(M))
-    with pytest.raises(ValueError, match="finite"):
-        convexity_shift(np.array([[bad, 1.0], [1.0, 2.0]]), 0.05, 4)
 
 
-def test_convexity_shift_formula():
-    assert convexity_shift(np.diag([1.0, 2.0]), 0.05, 4) == 0.0
-    assert convexity_shift(np.diag([-3.0, 2.0]), 0.05, 4) == pytest.approx((0.05 + 3.0) / 4)
+@pytest.mark.parametrize("problem", ["ex1", "ex4:n=5"])
+def test_power_shift_is_the_formula_at_every_iterate(problem):
+    """Each spp and sspa row's shift is max(0, (tau - low) / m), with low the
+    smallest eigenvalue of the three-term Rayleigh Hessian at that iterate,
+    divided by m first under sspa, to rounding of the eigenvalue."""
+    A, B = build(parse_problem(problem))
+    cfg = SolverConfig(keep_iterates=True)
+    m = A.order
+    shifted = 0
+    for solver, scale in ((spp, 1), (sspa, m)):
+        for seed in range(3):
+            rep = solver(A, B, random_start(A.dim, seed), cfg)
+            assert len(rep.iterates) == len(rep.trace)
+            for row, x in zip(rep.trace, rep.iterates):
+                H = three_term_rayleigh_hessian(A, B, x)
+                want = max(0.0, (cfg.tau - min_eig_sym(H) / scale) / m)
+                assert abs(row.shift - want) <= 1e-12 * max(np.abs(H).max(), 1.0), (solver.__name__, seed, row.k)
+                shifted += row.shift > 0.0
+    assert shifted > 0
 
 
 # --- ascent direction --------------------------------------------------------
@@ -821,13 +834,6 @@ def test_paper_literal_safeguards_flag(ex1):
     lit = spg1(A, B, np.ones(3), SolverConfig(paper_literal_safeguards=True))
     assert base.status is Status.CONVERGED and lit.status is Status.CONVERGED
     assert lit.pair.lam == pytest.approx(base.pair.lam, abs=1e-6)
-
-
-def test_shift_zero_when_hessian_convex():
-    # positive-definite curvature above tau leaves the power step unshifted
-    assert convexity_shift(np.diag([0.06, 0.9]), 0.05, 4) == 0.0
-
-
 
 
 def test_golden_reports():

@@ -25,6 +25,7 @@ from teicp.tensor import (
     TensorOperator,
     ZIdentity,
     _class_plan,
+    _pack_plan,
     diagonal_tensor,
     symmetrize,
 )
@@ -190,6 +191,25 @@ def test_packed_matrix_of_20_4_takes_at_most_0_3_units():
     held = T._packed.nbytes + T._rows.nbytes + T._pair_pos.nbytes
     assert T._packed.shape == (210, 210) and not T._packed.flags.writeable
     assert held / (8 * 20**4) <= 0.3
+
+
+@pytest.mark.parametrize("n, m", [(6, 4), (4, 6)])
+def test_pack_plan_is_read_only_shared_and_gathers_the_packed_matrix(n, m):
+    """Tensors of one shape share its read-only packing plan, and the packed
+    matrix gathered through it is the direct gather of the class values."""
+    plan = _pack_plan(n, m)
+    for a in plan:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    T, U = random_symmetric(n, m, 0), random_symmetric(n, m, 1)
+    assert T._rows is U._rows is plan[2] and T._pair_pos is U._pair_pos is plan[3]
+    ids = _class_plan(n, m)[0]
+    _, first_r, sizes_r = _class_plan(n, m - 2)
+    first_c = _class_plan(n, 2)[1]
+    for V in (T, U):
+        direct = V._values[ids.reshape(n ** (m - 2), n * n)[np.ix_(first_r, first_c)]] * sizes_r[:, None]
+        assert V._packed.tobytes() == direct.tobytes()
 
 
 def test_packing_keeps_the_build_plan():
