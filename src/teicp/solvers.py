@@ -17,18 +17,20 @@ and return a :class:`SolverReport` with a per-iteration trace:
 * ``spa``  -- sspa with the shift forced to r_k = 0.
 
 All five run one driver loop, which owns the set-up, the evaluation of
-every point, the stop tests, the trace rows and the report; a small step
-rule measures each point, says whether it is stationary, and proposes the
-next one.  spg1 and spg2 share the SPG rule and differ only in the trial
-point of the line search, x_k + alpha d_k (renormalized) versus
-P(x_k + alpha g_k); spp, sspa and spa share the power rule.
+every point, the stop test, the trace rows and the report; a small step
+rule measures each point's trace fields and proposes the next one.  spg1
+and spg2 share the SPG rule and differ only in the trial point of the line
+search, x_k + alpha d_k (renormalized) versus P(x_k + alpha g_k); spp, sspa
+and spa share the power rule.
 
-One stop rule serves all five.  A point is a candidate stop when the
-rule's own stationarity test fires or when lambda or x changed by at most
-tol since the last iterate.  There the driver polishes (lambda, x / ||x||)
-and stops Converged, reporting the polished pair, only if that pair
-certifies at tol; elsewhere the run goes on.  So every Converged report
-certifies at tol.
+One stop test serves all five.  Every iterate is feasible, x >= 0, so a
+point is a candidate stop when its dual residual is within tol,
+max_i y_i <= tol ||x||^{m-1} with y = A x^{m-1} - lambda B x^{m-1} (the dual
+residual of (lambda, x / ||x||), read from the evaluation the driver
+holds), or when lambda changed by at most tol since the last iterate.
+There the driver polishes (lambda, x / ||x||) and stops Converged,
+reporting the polished pair, only if that pair certifies at tol; elsewhere
+the run goes on.  So every Converged report certifies at tol.
 
 The spectral (Barzilai-Borwein) step length beta = <s, s> / <s, y> drives
 both SPG variants, clamped to safeguards.  Because the solvers maximize,
@@ -228,8 +230,8 @@ def _max(a: np.ndarray):
 def _polish(A, B, lam, x):
     """Sharpen a candidate stop by Newton steps on its active face.
 
-    The loose stopping rules of the iterative schemes leave the endpoint a
-    few digits short of a certified eigenpair.  Converged status promises a
+    The driver's loose stop test leaves the endpoint a few digits short of
+    a certified eigenpair.  Converged status promises a
     pair whose complementarity residuals actually verify, so the candidate
     pair is refined: detect the support, solve the face-restricted system
     A_I z^{m-1} - lam B_I z^{m-1} = 0, ||z|| = 1 by Newton, and keep the
@@ -372,8 +374,7 @@ class _SpgRule:
     P(x + alpha g) from alpha = beta and uses the gradient-scaled BB band.
     The measure reads the merit value and gradient from the driver's
     evaluation, makes the Barzilai-Borwein update from the last measured
-    (x, g) and projects the direction d; the point is stationary when ||d||
-    or, after the start, ||g|| is within tol.  The line search computes only
+    (x, g) and projects the direction d.  The line search computes only
     merit values, and a trial point outside the merit's domain raises to the
     driver, as do a non-finite gradient and a NaN trial value.
     """
@@ -390,8 +391,7 @@ class _SpgRule:
         gnorm = _norm(g)
         if not math.isfinite(gnorm):
             raise MeritDomainError(f"merit gradient is not finite: norm {gnorm}")
-        start = self.x is None
-        if start:
+        if self.x is None:
             self.beta = 1.0 / gnorm if gnorm > 0.0 else 1.0
         else:
             lo, hi = _bb_bounds(gnorm, self.cfg.paper_literal_safeguards or self.curvilinear)
@@ -400,8 +400,7 @@ class _SpgRule:
             self.beta = _bb_clamped(x - self.x, self.g - g, lo, hi)
         self.x, self.g, self.val = x, g, ev.value
         self.d = project_sphere_plus(x + self.beta * g) - x
-        stationary = (not start and gnorm <= self.cfg.tol) or _norm(self.d) < self.cfg.tol
-        return (ev.value, gnorm, self.beta, 0.0), stationary
+        return ev.value, gnorm, self.beta, 0.0
 
     def step(self, x):
         cfg, g, val = self.cfg, self.g, self.val
@@ -435,9 +434,8 @@ class _PowerRule:
     on B x^m = 1 and step along y + r m x with y = A x^{m-1} - lambda B x^{m-1},
     by a step length equal to its norm, before rescaling.  The measure reads
     the gradient, y and the Rayleigh Hessian's smallest eigenvalue from the
-    driver's evaluation of the point; the point is stationary when the
-    thresholded direction (spp) or y (spa, sspa) is within tol, and spp's
-    step fails where that direction is zero.
+    driver's evaluation of the point, and spp's step fails where the
+    thresholded direction is zero.
     """
 
     def __init__(self, A, B, cfg: SolverConfig, scaled: bool, shifted: bool):
@@ -470,9 +468,7 @@ class _PowerRule:
         gnorm = _norm(g)
         self.ascent = ascent
         self.length = gnorm if ascent is g else _norm(ascent)
-        # spp stops on its thresholded direction, spa and sspa on the residual.
-        stationary = (gnorm if self.scaled else self.length) <= self.cfg.tol
-        return (ev.lam, gnorm, 0.0, shift), stationary
+        return ev.lam, gnorm, 0.0, shift
 
     def step(self, x):
         if not self.scaled:
@@ -492,9 +488,9 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     """The one loop every solver runs; ``rule_type(A, B, cfg, **flags)`` steps.
 
     The driver makes, evaluates and records every point; the rule measures
-    the trace fields from that evaluation, says whether the point is
-    stationary, and proposes the next point.  The run then stops at a
-    candidate stop (stationary, or a lambda or x change within tol since the
+    the trace fields from that evaluation and proposes the next point.  The
+    run then stops at a candidate stop (a dual residual
+    max_i y_i <= tol ||x||^{m-1}, or a lambda change within tol since the
     last iterate) whose polished pair certifies at tol, then at the
     iteration cap; otherwise the rule steps.  A step that fails ends the run
     at the current iterate, whose trace row keeps the step the rule reports.
@@ -523,8 +519,11 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         if iterates is not None:
             iterates.append(np.array(x, copy=True))
 
+    # y is homogeneous of degree m - 1 in x, so the dual residual of
+    # (lam, x / ||x||) is max_i y_i / (x . x)^half.
+    half = (A.order - 1) / 2
     x = project_sphere_plus(x0)
-    lam = x_prev = lam_prev = kept = None
+    lam = lam_prev = kept = None
     fields = _UNMEASURED
     k = 0
     try:
@@ -533,12 +532,13 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         while True:
             x, lam = x_new, ev.lam
             fields = _UNMEASURED  # until the measure returns
-            fields, stationary = rule.measure(x, ev)
-            stalled = x_prev is not None and (
-                abs(lam - lam_prev) <= cfg.tol or _norm(x - x_prev) <= cfg.tol
-            )
+            fields = rule.measure(x, ev)
+            # A NaN in y can at most make a candidate stop and cost one polish:
+            # certification goes through ResidualTriple.max_violation, which
+            # never certifies NaN.
+            stationary = max(ev.y.tolist()) <= cfg.tol * float(x.dot(x)) ** half
             status = None
-            if stationary or stalled:
+            if stationary or (lam_prev is not None and abs(lam - lam_prev) <= cfg.tol):
                 # Neither test proves the pair is an eigenpair: stop only if
                 # the polished pair certifies, else go on.
                 polished = _polish(A, B, float(lam), x / _norm(x))
@@ -554,7 +554,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             record(k, lam, fields, step, x)
             if status is not None:
                 break
-            x_prev, lam_prev = x, lam
+            lam_prev = lam
             k += 1
     except _DOMAIN_ERRORS:
         if lam is None:  # the start itself could not be evaluated
@@ -584,8 +584,7 @@ def spg1(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
     d_k = P(x_k + beta_k g_k) - x_k, and backtracks from a full step until
     f(x_k + alpha d_k) >= f(x_k) + rho alpha g_k . d_k.  Iterates are kept on
     the unit sphere (the merits are scale-invariant, so partial steps can be
-    renormalized without changing any merit value).  Its stationarity test
-    is ||d_k|| or the gradient norm below tol.
+    renormalized without changing any merit value).
     """
     return _drive(A, B, x0, cfg, _SpgRule, curvilinear=False)
 
@@ -595,8 +594,7 @@ def spg2(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = No
 
     The trial point x_+ = P(x_k + alpha g_k) is re-projected at every trial
     step length, and accepted once
-    f(x_+) >= f(x_k) + rho alpha g_k . (x_+ - x_k).  Its stationarity test
-    is spg1's.
+    f(x_+) >= f(x_k) + rho alpha g_k . (x_+ - x_k).
     """
     return _drive(A, B, x0, cfg, _SpgRule, curvilinear=True)
 
@@ -606,9 +604,8 @@ def spp(A: TensorOperator, B: TensorOperator, x0, cfg: SolverConfig | None = Non
 
     Each iteration shifts the gradient by r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), thresholds negatives to zero,
-    and renormalizes.  Its stationarity test is the thresholded direction
-    norm below tol; an exactly-zero thresholded direction is reported as a
-    domain error rather than silently perturbed.
+    and renormalizes.  An exactly-zero thresholded direction is reported as
+    a domain error rather than silently perturbed.
     """
     return _drive(A, B, x0, cfg, _PowerRule, scaled=False, shifted=True)
 
@@ -619,7 +616,7 @@ def spa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = Non
     Iterates are kept on the scale B x^m = 1.  The residual gradient
     g_k = A x_k^{m-1} - lambda_k B x_k^{m-1} doubles as the step direction
     and, through its norm, the step length, so steps vanish near solutions
-    (slow final tail).  Its stationarity test is ||g_k|| below tol.
+    (slow final tail).
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=False)
 
@@ -629,8 +626,7 @@ def sspa(A: TensorOperator, B: TensorOperator, u0, cfg: SolverConfig | None = No
 
     Like spa but stepping along y_k + r_k m x_k with
     r_k = max(0, (tau - lambda_min(H_k)) / m), which keeps the step length
-    bounded away from zero near solutions.  Its stationarity test is ||y_k||
-    below tol.
+    bounded away from zero near solutions.
     """
     return _drive(A, B, u0, cfg, _PowerRule, scaled=True, shifted=True)
 

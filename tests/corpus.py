@@ -40,7 +40,8 @@ sha256 digest of x, the residual triple, the trace rows and the iterates, in
 that order; a run that raises prints the exception's type in place of the
 report.  Each set's run count goes to stderr, with how many runs end
 ``Converged`` and how many of those certify (max violation of the residual
-triple within their config's ``tol``), how many times the driver polished
+triple within their config's ``tol``), the iterations of all its reports,
+how many times the driver polished
 (``_polish`` calls) and how many face Newton solves those polishes made
 (``_newton_face`` calls), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
@@ -154,7 +155,7 @@ def _counting(*names):
 
 def run_set(name: str) -> tuple[list[str], str]:
     """One set's output lines, and its counts: runs, how many end ``Converged``
-    and certify, polishes and face Newton solves."""
+    and certify, iterations, polishes and face Newton solves."""
     with _counting("_polish", "_newton_face") as calls:
         lines, counts = _run_set(name)
     return lines, f"{counts}, {calls['_polish']} polishes, {calls['_newton_face']} face solves"
@@ -162,7 +163,7 @@ def run_set(name: str) -> tuple[list[str], str]:
 
 def _run_set(name: str) -> tuple[list[str], str]:
     problems, configs = SETS[name]
-    lines, runs, converged, certified = [], 0, 0, 0
+    lines, runs, converged, certified, iters = [], 0, 0, 0, 0
     for problem, (A, B), starts in problems():
         if name == "corpus":  # golden.txt holds runs only
             for kind, array in (("entries", A.entries), ("packed", A._packed)):
@@ -177,12 +178,13 @@ def _run_set(name: str) -> tuple[list[str], str]:
                         line = f"raises {type(exc).__name__}"
                     else:
                         line = report_line(rep)
+                        iters += rep.iters
                         if rep.status is Status.CONVERGED:
                             converged += 1
                             certified += rep.residual.max_violation() <= cfg.tol
                     lines.append(f"{problem} x0#{i} {solver} {config} {line}")
                     runs += 1
-    return lines, f"{runs} runs, {converged} Converged, {certified} of them certified"
+    return lines, f"{runs} runs, {converged} Converged, {certified} of them certified, {iters} iterations"
 
 
 def _read(lines) -> tuple[dict, dict]:
