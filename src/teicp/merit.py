@@ -21,7 +21,11 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor import TensorOperator, ZIdentity
+# LAPACK's symmetric eigenvalue kernel, the gufunc ``np.linalg.eigvalsh``
+# wraps (in numpy.linalg._umath_linalg since numpy 1.8).
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+
+from .tensor import HIdentity, TensorOperator, ZIdentity
 
 __all__ = [
     "MeritKind",
@@ -61,7 +65,7 @@ class MeritEval:
     Rayleigh merit ``value == lam``.  ``y`` is the residual
     A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
     per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones, and
-    :meth:`rayleigh_hessian_min_eig` only A's under the sphere identity.
+    :meth:`rayleigh_hessian_min_eig` only A's under either identity.
     The record is built once per evaluated point, so it has slots and is
     built positionally; nothing writes to it after.  ``_log_gradient`` is
     None under the Rayleigh merit.
@@ -96,54 +100,69 @@ class MeritEval:
         product overflows, H holds inf or NaN instead of raising; callers
         test it.
         """
-        A, B, x, bxm, bxm1 = self._at
-        m = A.order
-        scale = m / bxm
+        A, B, x, _, _ = self._at
         with np.errstate(over="ignore", invalid="ignore"):
             H = np.multiply(B.contract_m_minus_2(x), self.lam)
             np.subtract(A.contract_m_minus_2(x), H, out=H)
-            H *= (m - 1) * scale
-            r = np.multiply.outer(scale * self.y, scale * bxm1)
-            H -= r + r.T
+            return self._rank2_folded(H)
+
+    def _rank2_folded(self, H: np.ndarray) -> np.ndarray:
+        """H = A x^{m-2} - lam B x^{m-2}, scaled and less its rank-2 term in place, as above."""
+        A, _, _, bxm, bxm1 = self._at
+        m = A.order
+        scale = m / bxm
+        H *= (m - 1) * scale
+        r = np.multiply.outer(scale * self.y, scale * bxm1)
+        H -= r + r.T
         return H
 
     def rayleigh_hessian_min_eig(self) -> float:
         """The smallest eigenvalue of the Rayleigh Hessian, the curvature the shift reads.
 
-        Under the sphere identity B x^{m-2} is never formed.  With s = m / b
-        and q = x . x, B x^{m-1} = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q,
-        so H = G - alpha I with alpha = m lam / q,
-        G = (m-1) s A x^{m-2} - (x w' + w x') and
-        w = (m (m-2) lam / (2 q^2)) x + (m s / q) y,
-        and lambda_min(H) = lambda_min(G) - alpha: one n x n matrix, exactly
-        symmetric, and one ``eigvalsh``.  Any other B takes
-        :meth:`rayleigh_hessian`.  Raises :class:`MeritDomainError` where the
-        matrix is not finite, its eigenvalues do not converge or the result
-        is not finite.  The matrix is tested before the solve because LAPACK
-        returns finite eigenvalues for a 2 x 2 matrix with a NaN on its
-        diagonal.
+        No B x^{m-2} matrix is formed under either identity.  Under the
+        sphere identity, with s = m / b and q = x . x,
+        B x^{m-1} = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q, so H = G - alpha I
+        with alpha = m lam / q, G = (m-1) s A x^{m-2} - (x w' + w x') and
+        w = (m (m-2) lam / (2 q^2)) x + (m s / q) y, and
+        lambda_min(H) = lambda_min(G) - alpha.  Under the diagonal identity,
+        B x^{m-2} is diag(x^{m-2}), so lam x^{m-2} is taken off the diagonal
+        of a copy of A x^{m-2}, which then gets the scale and rank-2 term of
+        :meth:`rayleigh_hessian`, with its bits.  Any other B takes
+        :meth:`rayleigh_hessian`.  Either way it is one n x n matrix, exactly
+        symmetric, and one call of LAPACK's symmetric eigenvalue kernel
+        through numpy's ``eigvalsh_lo`` gufunc, the kernel
+        ``np.linalg.eigvalsh`` wraps, with its bits and without the wrapper's
+        checks.  Raises :class:`MeritDomainError` where the matrix is not
+        finite or the smallest eigenvalue is not, which includes an eigen-solve
+        that does not converge: the kernel returns NaN there.  The matrix is
+        tested before the solve because LAPACK returns finite eigenvalues for
+        a 2 x 2 matrix with a NaN on its diagonal.
         """
         A, B, x, bxm, _ = self._at
         alpha = 0.0
-        if type(B) is ZIdentity:
-            m = A.order
-            s = m / bxm
-            q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
-            alpha = m * self.lam / q
-            with np.errstate(over="ignore", invalid="ignore"):
+        m = A.order
+        # The kernel runs under the flags np.linalg.eigvalsh sets for it but
+        # the invalid one, whose NaN the test below reads instead.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if type(B) is ZIdentity:
+                s = m / bxm
+                q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
+                alpha = m * self.lam / q
                 w = x * (alpha * (m - 2) / (2.0 * q))
                 w += self.y * (m * s / q)
                 M = A.contract_m_minus_2(x) * ((m - 1) * s)
                 r = np.multiply.outer(x, w)
                 M -= r + r.T
-        else:
-            M = self.rayleigh_hessian()
-        if not np.isfinite(M).all():
-            raise MeritDomainError("the Rayleigh Hessian is not finite")
-        try:
-            low = float(np.linalg.eigvalsh(M)[0]) - alpha
-        except np.linalg.LinAlgError as err:
-            raise MeritDomainError("the Rayleigh Hessian's eigenvalues did not converge") from err
+            elif type(B) is HIdentity:
+                M = np.array(A.contract_m_minus_2(x))
+                diagonal = M.reshape(-1)[:: A.dim + 1]
+                diagonal -= x ** (m - 2) * self.lam
+                self._rank2_folded(M)
+            else:
+                M = self.rayleigh_hessian()
+            if not np.isfinite(M).all():
+                raise MeritDomainError("the Rayleigh Hessian is not finite")
+            low = float(_eigvalsh_lo(M, signature="d->d")[0]) - alpha
         if not math.isfinite(low):
             raise MeritDomainError("the Rayleigh Hessian's smallest eigenvalue is not finite")
         return low

@@ -47,6 +47,10 @@ from enum import Enum
 
 import numpy as np
 
+# LAPACK's inverse, the gufunc ``np.linalg.inv`` wraps (in
+# numpy.linalg._umath_linalg since numpy 1.8).
+from numpy.linalg._umath_linalg import inv as _inv
+
 from .merit import (
     MeritDomainError,
     MeritKind,
@@ -213,7 +217,7 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
 
 
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
-_POLISH_NEWTON_STEPS = 25
+_POLISH_NEWTON_STEPS = 10
 # The polish stops trying faces once the kept pair's max violation is this small.
 _POLISH_TARGET = 1e-10
 # Above this estimate ||J||_max ||J^-1||_max of the Newton Jacobian's
@@ -240,8 +244,11 @@ def _polish(A, B, lam, x):
     every operator are polished.  Its step solves with the inverse Jacobian,
     and takes the minimum-norm step where the Jacobian is singular or
     nearly so, so a face whose eigenvectors form a set still converges to
-    the nearest one.  The trace and iteration counts of the main loop are
-    untouched.
+    the nearest one.  Each face gets at most ``_POLISH_NEWTON_STEPS`` = 10
+    steps: over the corpus every face that met Newton's own stop did so
+    within 8, and the faces that ran on are singular ones (ex4 at lam = 0),
+    where the minimum-norm step gains digits only linearly.  The trace and
+    iteration counts of the main loop are untouched.
 
     The support is {i : x_i > cut} for each cut in turn, until one face
     reaches ``_POLISH_TARGET``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
@@ -274,17 +281,21 @@ def _polish(A, B, lam, x):
     return best
 
 
+# A singular J's inverse comes back NaN, which raises the invalid flag.
+@np.errstate(invalid="ignore")
 def _newton_face(A, B, lam, x, support):
     """Newton iteration for the eigensystem on one face; None if it fails.
 
     z stays a full-length vector that is zero off ``support``, so the full
     contractions sliced to the support are the face's: (T z^{m-1})[I] is
     T_I z_I^{m-1} and (T z^{m-2})[I, I] is T_I z_I^{m-2}, for every operator.
-    Each step is delta = -J^{-1} F from one ``inv``, whose result also gives
-    the condition estimate ||J||_max ||J^{-1}||_max of J with its lambda
-    column -B z^{m-1} scaled to max 1, so the estimate does not grow with
-    the scale of B; where ``inv`` fails or that estimate exceeds 1e10, the
-    step is the minimum-norm ``lstsq`` one.
+    Each step is delta = -J^{-1} F from one call of LAPACK's inverse, the
+    ``inv`` gufunc that ``np.linalg.inv`` wraps, with its bits and without
+    the wrapper.  Its result also gives the condition estimate
+    ||J||_max ||J^{-1}||_max of J with its lambda column -B z^{m-1} scaled to
+    max 1, so the estimate does not grow with the scale of B.  A singular J
+    comes back as NaN, which makes the estimate NaN; where the estimate is
+    NaN or exceeds 1e10, the step is the minimum-norm ``lstsq`` one.
     Returns ``(lam, z / ||z||)``.
     """
     k = support.size
@@ -309,18 +320,15 @@ def _newton_face(A, B, lam, x, support):
         np.multiply(A.order - 1, face_ab.reshape(k, k), out=j_face)
         np.negative(bz, out=j_col)
         j_row[:] = zs
-        try:
-            inv = np.linalg.inv(jac)
-            # The estimate is that of J with its lambda column scaled to max 1,
-            # which scales the last row of J^-1 by max|B z^{m-1}|, the
-            # maximum of |J|'s last column (its corner is 0).
-            abs_jac, abs_inv = np.abs(jac), np.abs(inv)
-            scale = _max(abs_jac[:, k])
-            cond = max(_max(abs_jac[:, :k]), 1.0) * max(_max(abs_inv[:k]), scale * _max(abs_inv[k]))
-            regular = cond <= _NEWTON_COND_MAX
-        except np.linalg.LinAlgError:
-            regular = False
-        if regular:
+        inv = _inv(jac, signature="d->d")
+        # The estimate is that of J with its lambda column scaled to max 1,
+        # which scales the last row of J^-1 by max|B z^{m-1}|, the
+        # maximum of |J|'s last column (its corner is 0).  A NaN inverse
+        # makes it NaN, which fails the test.
+        abs_jac, abs_inv = np.abs(jac), np.abs(inv)
+        scale = _max(abs_jac[:, k])
+        cond = max(_max(abs_jac[:, :k]), 1.0) * max(_max(abs_inv[:k]), scale * _max(abs_inv[k]))
+        if cond <= _NEWTON_COND_MAX:
             delta = inv.dot(-fval)
         else:
             try:
@@ -374,7 +382,8 @@ class _SpgRule:
     P(x + alpha g) from alpha = beta and uses the gradient-scaled BB band.
     The measure reads the merit value and gradient from the driver's
     evaluation, makes the Barzilai-Borwein update from the last measured
-    (x, g) and projects the direction d.  The line search computes only
+    (x, g) and projects P(x + beta g) once: spg1's step takes d from it, and
+    it is spg2's first trial point.  The line search computes only
     merit values, and a trial point outside the merit's domain raises to the
     driver, as do a non-finite gradient and a NaN trial value.
     """
@@ -399,21 +408,25 @@ class _SpgRule:
             # g_k - g_{k+1}; that sign keeps the BB curvature positive near maxima.
             self.beta = _bb_clamped(x - self.x, self.g - g, lo, hi)
         self.x, self.g, self.val = x, g, ev.value
-        self.d = project_sphere_plus(x + self.beta * g) - x
+        self.p = project_sphere_plus(x + self.beta * g)
         return ev.value, gnorm, self.beta, 0.0
 
     def step(self, x):
         cfg, g, val = self.cfg, self.g, self.val
-        alpha = self.beta if self.curvilinear else 1.0
-        slope = float(g @ self.d)
-        for _ in range(LINE_SEARCH_MAX_TRIALS):
+        if self.curvilinear:
+            alpha = self.beta
+        else:
+            alpha, d = 1.0, self.p - x
+            slope = float(g @ d)
+        for tried in range(LINE_SEARCH_MAX_TRIALS):
             if self.curvilinear:
-                trial = project_sphere_plus(x + alpha * g)
+                # The first trial, at alpha = beta, is the measure's P(x + beta g).
+                trial = project_sphere_plus(x + alpha * g) if tried else self.p
                 # The chord g . (x_+ - x) already grows with alpha, so the
                 # quadratic model below takes chord / alpha as its slope.
                 slope = float(g @ (trial - x))
             else:
-                trial = x + alpha * self.d
+                trial = x + alpha * d
             f_trial = _trial_value(self.A, self.B, trial, cfg.merit)
             if math.isnan(f_trial):
                 raise MeritDomainError("merit value is NaN at a line-search trial point")

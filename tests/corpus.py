@@ -42,8 +42,9 @@ report.  Each set's run count goes to stderr, with how many runs end
 ``Converged`` and how many of those certify (max violation of the residual
 triple within their config's ``tol``), the iterations of all its reports,
 how many times the driver polished
-(``_polish`` calls) and how many face Newton solves those polishes made
-(``_newton_face`` calls), so stdout stays comparable.
+(``_polish`` calls), how many face Newton solves those polishes made
+(``_newton_face`` calls) and how many Newton steps those solves took (calls
+of the inverse that each step makes), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
 Both sets take about 13 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
 thread; 12.5-14.4 s in three runs), the golden set under 0.5 s of it.
@@ -133,32 +134,44 @@ def report_line(rep) -> str:
 
 
 @contextlib.contextmanager
-def _counting(*names):
-    """Count the calls of these ``teicp.solvers`` functions, as {name: count}, within the block."""
+def _counting(owner, *names):
+    """Count the calls of these functions of ``owner``, as {name: count}, within the block."""
     counts = dict.fromkeys(names, 0)
-    originals = {name: getattr(teicp.solvers, name) for name in names}
+    originals = {name: getattr(owner, name) for name in names}
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
     for name, fn in originals.items():
-        setattr(teicp.solvers, name, counted(name, fn))
+        setattr(owner, name, counted(name, fn))
     try:
         yield counts
     finally:
         for name, fn in originals.items():
-            setattr(teicp.solvers, name, fn)
+            setattr(owner, name, fn)
+
+
+def _newton_steps():
+    """Count the face Newton steps: each inverts its Jacobian once.
+
+    The solvers call LAPACK's inverse as ``teicp.solvers._inv``; a tree
+    from before that calls ``np.linalg.inv``, and nothing else in a run does.
+    """
+    if hasattr(teicp.solvers, "_inv"):
+        return _counting(teicp.solvers, "_inv")
+    return _counting(np.linalg, "inv")
 
 
 def run_set(name: str) -> tuple[list[str], str]:
     """One set's output lines, and its counts: runs, how many end ``Converged``
-    and certify, iterations, polishes and face Newton solves."""
-    with _counting("_polish", "_newton_face") as calls:
+    and certify, iterations, polishes, face Newton solves and their steps."""
+    with _counting(teicp.solvers, "_polish", "_newton_face") as calls, _newton_steps() as steps:
         lines, counts = _run_set(name)
-    return lines, f"{counts}, {calls['_polish']} polishes, {calls['_newton_face']} face solves"
+    solves, total = calls["_newton_face"], sum(steps.values())
+    return lines, f"{counts}, {calls['_polish']} polishes, {solves} face solves, {total} Newton steps"
 
 
 def _run_set(name: str) -> tuple[list[str], str]:

@@ -23,7 +23,7 @@ from teicp.merit import (
     rayleigh_hessian,
     rayleigh_value,
 )
-from teicp.problems import build, parse_problem, random_symmetric
+from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import b_normalize
 from teicp.solvers import min_eig_sym
 from teicp.tensor import DenseSymmetricTensor, HIdentity, ZIdentity, diagonal_tensor
@@ -101,9 +101,9 @@ def test_rank_two_hessian_matches_the_three_term_form(problem, rng):
 )
 def test_shift_eigenvalue_matches_the_three_term_hessian(problem, rng):
     """lambda_min of the Rayleigh Hessian, folded under the sphere identity
-    (orders 2, 4 and 6) and formed in full under the diagonal identity and a
-    dense B, is the reference's to 1e-12 of max |H|, at unit, non-unit and
-    B-normalized points."""
+    (orders 2, 4 and 6), with B's diagonal folded in under the diagonal
+    identity and formed in full under a dense B, is the reference's to 1e-12
+    of max |H|, at unit, non-unit and B-normalized points."""
     if problem == "dense":
         A = random_symmetric(5, 4, 2)
         B = DenseSymmetricTensor(np.abs(random_symmetric(5, 4, 3).entries))
@@ -115,6 +115,18 @@ def test_shift_eigenvalue_matches_the_three_term_hessian(problem, rng):
             H = three_term_rayleigh_hessian(A, B, point)
             got = evaluate(A, B, point).rayleigh_hessian_min_eig()
             assert abs(got - min_eig_sym(H)) <= 1e-12 * np.abs(H).max(), problem
+
+
+@pytest.mark.parametrize("problem", ["ex4:n=5", "ex5:n=5", "ex6:n=5"])
+def test_diagonal_identity_shift_eigenvalue_is_the_hessians_bit_for_bit(problem):
+    """Under the diagonal identity the shift takes lam x^{m-2} off a copy of
+    A x^{m-2}'s diagonal instead of forming B x^{m-2}, with the bits of
+    :meth:`MeritEval.rayleigh_hessian` and so of its smallest eigenvalue."""
+    A, B = build(parse_problem(problem))
+    assert type(B) is HIdentity
+    for seed in range(20):
+        ev = evaluate(A, B, random_start(A.dim, seed))
+        assert ev.rayleigh_hessian_min_eig() == min_eig_sym(ev.rayleigh_hessian()), (problem, seed)
 
 
 @pytest.mark.parametrize("scale", [1e-110, 1e110])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import teicp.merit
 import teicp.solvers
 
 from corpus import GOLDEN, compare, compare_outputs, gate_cases, run_set
@@ -60,6 +61,20 @@ def test_bb_step_clamps():
 def test_min_eig_sym_known_values():
     assert min_eig_sym(np.diag([3.0, -1.0, 2.0])) == -1.0
     assert min_eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 13, 20])
+def test_lapack_kernels_are_numpy_linalgs_bit_for_bit(n):
+    """The shift's eigenvalue kernel and the Newton step's inverse are the
+    gufuncs that ``np.linalg.eigvalsh`` and ``np.linalg.inv`` wrap, with
+    their bits; a numpy whose wrappers compute otherwise fails here."""
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        M = rng.uniform(-1.0, 1.0, size=(n, n))
+        S = M + M.T
+        got = teicp.merit._eigvalsh_lo(S, signature="d->d")
+        assert got.tobytes() == np.linalg.eigvalsh(S).tobytes()
+        assert teicp.solvers._inv(M, signature="d->d").tobytes() == np.linalg.inv(M).tobytes()
 
 
 def test_min_eig_sym_matches_det_bisection(rng):
@@ -368,6 +383,38 @@ def test_overflowing_runs_end_without_a_silent_non_finite_run(scale, ex1):
         assert math.isfinite(rep.pair.lam), name
 
 
+def test_spg2_projects_once_per_line_search_trial(monkeypatch):
+    """spg2's first trial point is the measure's P(x + beta g), not a second projection.
+
+    A Converged run of k iterations projects the start once, each of its
+    k + 1 points once in the measure, and each trial but the first of each of
+    its k steps once: trials + 2 projections in all.
+    """
+    counts = {"project": 0, "trial": 0}
+
+    def counting(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(teicp.solvers, "project_sphere_plus", counting("project", project_sphere_plus))
+    monkeypatch.setattr(teicp.solvers, "_trial_value", counting("trial", teicp.solvers._trial_value))
+    iters = trials = 0
+    for problem in ("ex1", "ex3", "ex5:n=5", "rand:n=6,m=4"):
+        A, B = build(parse_problem(problem))
+        for seed in range(10):
+            for cfg in (SolverConfig(), SolverConfig(merit=MeritKind.LOGARITHMIC)):
+                counts.update(project=0, trial=0)
+                rep = spg2(A, B, random_start(A.dim, seed), cfg)
+                if rep.status is Status.CONVERGED:
+                    assert counts["project"] == counts["trial"] + 2, (problem, seed)
+                    iters, trials = iters + rep.iters, trials + counts["trial"]
+    # Some steps reject a trial, so the later trials' projections are counted too.
+    assert trials > iters > 0
+
+
 @pytest.mark.parametrize("solver", [spg1, spg2])
 def test_nan_line_search_value_ends_domain_error(solver, ex1, monkeypatch):
     """A NaN trial value ends the run at once, where 50 trials would end LineSearchFailure."""
@@ -429,10 +476,12 @@ def test_non_finite_entry_in_the_shift_matrix_ends_domain_error(name, bad, probl
 
 @pytest.mark.parametrize("name", ["spp", "sspa"])
 def test_shift_eigen_solve_that_does_not_converge_ends_domain_error(name, ex1, monkeypatch):
-    def no_convergence(M):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    """LAPACK's eigenvalue kernel returns NaN eigenvalues where it does not converge."""
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    def no_convergence(M, signature):
+        return np.full(M.shape[-1], np.nan)
+
+    monkeypatch.setattr(teicp.merit, "_eigvalsh_lo", no_convergence)
     rep = SOLVERS[name](*ex1, np.ones(3))
     assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0
 
@@ -552,18 +601,19 @@ def test_polish_tries_each_face_once(monkeypatch):
 def test_newton_takes_minimum_norm_steps_only_on_singular_faces(monkeypatch):
     """Over the criterion-8 runs, only ex4 sends Newton steps to ``lstsq``.
 
-    Each step inverts the Jacobian once and takes the minimum-norm step
-    where that fails or ||J||_max ||J^-1||_max exceeds 1e10.  ex4 has faces
-    whose eigenvectors form a set (lam = 0), so its Jacobian is singular
-    there; every step on ex1-ex3, ex5 and ex6 stays on ``inv``.
+    Each step inverts the Jacobian once, with LAPACK's inverse, and takes
+    the minimum-norm step where the inverse is NaN (J singular) or
+    ||J||_max ||J^-1||_max exceeds 1e10.  ex4 has faces whose eigenvectors
+    form a set (lam = 0), so its Jacobian is singular there; every step on
+    ex1-ex3, ex5 and ex6 stays on the inverse.
     """
     calls = {}
-    for name in ("inv", "lstsq"):
-        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
+    for owner, name, key in ((teicp.solvers, "_inv", "inv"), (np.linalg, "lstsq", "lstsq")):
+        def spy(*args, _f=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
             return _f(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     for problem, names in TABLE_MEDIANS.items():
         A, B = build(parse_problem(problem))
         calls.update(inv=0, lstsq=0)

@@ -691,7 +691,8 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
     They also call the fused pair of A and of B and A x^{m-2} once per
     iterate, and no other contraction, except sspa's B x^m, which
     b_normalize makes once to scale each new point, and B x^{m-2}, which
-    the shift forms once per iterate unless B is the sphere identity.
+    the shift forms once per iterate unless B is the sphere or the diagonal
+    identity.
     """
     passes = []
     calls = collections.Counter()
@@ -739,7 +740,7 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
                     for op in "AB"
                     for name in ("contract_m_minus_1_and_m", "contract_m_minus_2")
                 }
-                if isinstance(B, ZIdentity):
+                if isinstance(B, (ZIdentity, HIdentity)):
                     del want["B", "contract_m_minus_2"]
                 if solver is teicp.solvers.sspa:
                     want["B", "contract_m"] = points
