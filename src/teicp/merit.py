@@ -96,21 +96,27 @@ class MeritEval:
         as m / b, once per factor, so no power of b under- or overflows where
         H is finite (B = 1e-110 I or 1e110 I scales H by 1/b and nothing else).
         The rank-2 term is added as r + r' with r = (m / b)^2 y u', so H is
-        exactly symmetric wherever both x^{m-2} contractions are.  Where a
-        product overflows, H holds inf or NaN instead of raising; callers
-        test it.
+        exactly symmetric wherever both x^{m-2} contractions are.  Under the
+        diagonal identity B x^{m-2} is diag(x^{m-2}), so lam x^{m-2} is taken
+        off the diagonal of a copy of A x^{m-2} instead, with the bits of the
+        full form and no B matrix.  Where a product overflows, H holds inf or
+        NaN instead of raising; callers test it.
         """
-        A, B, x, _, _ = self._at
         with np.errstate(over="ignore", invalid="ignore"):
-            H = np.multiply(B.contract_m_minus_2(x), self.lam)
-            np.subtract(A.contract_m_minus_2(x), H, out=H)
-            return self._rank2_folded(H)
+            return self._hessian()
 
-    def _rank2_folded(self, H: np.ndarray) -> np.ndarray:
-        """H = A x^{m-2} - lam B x^{m-2}, scaled and less its rank-2 term in place, as above."""
-        A, _, _, bxm, bxm1 = self._at
+    def _hessian(self) -> np.ndarray:
+        """:meth:`rayleigh_hessian` under the caller's floating-point error flags."""
+        A, B, x, bxm, bxm1 = self._at
         m = A.order
         scale = m / bxm
+        if type(B) is HIdentity:
+            H = np.array(A.contract_m_minus_2(x))
+            diagonal = H.reshape(-1)[:: A.dim + 1]
+            diagonal -= x ** (m - 2) * self.lam
+        else:
+            H = np.multiply(B.contract_m_minus_2(x), self.lam)
+            np.subtract(A.contract_m_minus_2(x), H, out=H)
         H *= (m - 1) * scale
         r = np.multiply.outer(scale * self.y, scale * bxm1)
         H -= r + r.T
@@ -124,27 +130,26 @@ class MeritEval:
         B x^{m-1} = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q, so H = G - alpha I
         with alpha = m lam / q, G = (m-1) s A x^{m-2} - (x w' + w x') and
         w = (m (m-2) lam / (2 q^2)) x + (m s / q) y, and
-        lambda_min(H) = lambda_min(G) - alpha.  Under the diagonal identity,
-        B x^{m-2} is diag(x^{m-2}), so lam x^{m-2} is taken off the diagonal
-        of a copy of A x^{m-2}, which then gets the scale and rank-2 term of
-        :meth:`rayleigh_hessian`, with its bits.  Any other B takes
-        :meth:`rayleigh_hessian`.  Either way it is one n x n matrix, exactly
-        symmetric, and one call of LAPACK's symmetric eigenvalue kernel
-        through numpy's ``eigvalsh_lo`` gufunc, the kernel
-        ``np.linalg.eigvalsh`` wraps, with its bits and without the wrapper's
-        checks.  Raises :class:`MeritDomainError` where the matrix is not
-        finite or the smallest eigenvalue is not, which includes an eigen-solve
-        that does not converge: the kernel returns NaN there.  The matrix is
-        tested before the solve because LAPACK returns finite eigenvalues for
-        a 2 x 2 matrix with a NaN on its diagonal.
+        lambda_min(H) = lambda_min(G) - alpha.  Any other B takes
+        :meth:`rayleigh_hessian`, which folds the diagonal identity into a
+        copy of A x^{m-2}, inside this method's one ``np.errstate`` block.
+        Either way it is one n x n matrix, exactly symmetric, and one call of
+        LAPACK's symmetric eigenvalue kernel through numpy's ``eigvalsh_lo``
+        gufunc, the kernel ``np.linalg.eigvalsh`` wraps, with its bits and
+        without the wrapper's checks.  Raises :class:`MeritDomainError`
+        where the matrix is not finite or the smallest eigenvalue is not,
+        which includes an eigen-solve that does not converge: the kernel
+        returns NaN there.  The matrix is tested before the solve because
+        LAPACK returns finite eigenvalues for a 2 x 2 matrix with a NaN on
+        its diagonal.
         """
         A, B, x, bxm, _ = self._at
         alpha = 0.0
-        m = A.order
         # The kernel runs under the flags np.linalg.eigvalsh sets for it but
         # the invalid one, whose NaN the test below reads instead.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if type(B) is ZIdentity:
+                m = A.order
                 s = m / bxm
                 q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
                 alpha = m * self.lam / q
@@ -153,13 +158,8 @@ class MeritEval:
                 M = A.contract_m_minus_2(x) * ((m - 1) * s)
                 r = np.multiply.outer(x, w)
                 M -= r + r.T
-            elif type(B) is HIdentity:
-                M = np.array(A.contract_m_minus_2(x))
-                diagonal = M.reshape(-1)[:: A.dim + 1]
-                diagonal -= x ** (m - 2) * self.lam
-                self._rank2_folded(M)
             else:
-                M = self.rayleigh_hessian()
+                M = self._hessian()
             if not np.isfinite(M).all():
                 raise MeritDomainError("the Rayleigh Hessian is not finite")
             low = float(_eigvalsh_lo(M, signature="d->d")[0]) - alpha

@@ -217,7 +217,11 @@ def _check_problem(A: TensorOperator, B: TensorOperator, x0: np.ndarray) -> None
 
 
 _POLISH_SUPPORT_CUTS = (1e-2, 1e-4, 1e-1, 0.0)
-_POLISH_NEWTON_STEPS = 10
+_POLISH_NEWTON_STEPS = 25
+# A face whose Newton residual ||F|| has set no new low in this many steps
+# since its first step is cycling, not converging, and its Newton iteration
+# ends there.
+_NEWTON_STALL_STEPS = 4
 # The polish stops trying faces once the kept pair's max violation is this small.
 _POLISH_TARGET = 1e-10
 # Above this estimate ||J||_max ||J^-1||_max of the Newton Jacobian's
@@ -244,11 +248,16 @@ def _polish(A, B, lam, x):
     every operator are polished.  Its step solves with the inverse Jacobian,
     and takes the minimum-norm step where the Jacobian is singular or
     nearly so, so a face whose eigenvectors form a set still converges to
-    the nearest one.  Each face gets at most ``_POLISH_NEWTON_STEPS`` = 10
-    steps: over the corpus every face that met Newton's own stop did so
-    within 8, and the faces that ran on are singular ones (ex4 at lam = 0),
-    where the minimum-norm step gains digits only linearly.  The trace and
-    iteration counts of the main loop are untouched.
+    the nearest one.  Each face gets at most ``_POLISH_NEWTON_STEPS`` = 25
+    steps, and ends early once its residual has set no new low in
+    ``_NEWTON_STALL_STEPS`` = 4 steps since the first.  A regular face's
+    residual falls quadratically and a singular one's (ex4 at lam = 0)
+    linearly, so neither stalls, and over the corpus the stop never ends a
+    face; a face whose Newton iteration cycles without a root nearby stops
+    paying for the full 25 steps.  Such a face can still land on a root
+    after a far jump, which the stop gives up: the main loop then goes on
+    to its next candidate stop.  Newton steps count in neither the trace
+    nor the iteration count of the main loop.
 
     The support is {i : x_i > cut} for each cut in turn, until one face
     reaches ``_POLISH_TARGET``.  The 1e-2 and 1e-4 cuts come first; 0.1 drops
@@ -295,7 +304,10 @@ def _newton_face(A, B, lam, x, support):
     ||J||_max ||J^{-1}||_max of J with its lambda column -B z^{m-1} scaled to
     max 1, so the estimate does not grow with the scale of B.  A singular J
     comes back as NaN, which makes the estimate NaN; where the estimate is
-    NaN or exceeds 1e10, the step is the minimum-norm ``lstsq`` one.
+    NaN or exceeds 1e10, the step is the minimum-norm ``lstsq`` one.  The
+    iteration ends where ||F|| <= 1e-13 max(1, |lam|), after
+    ``_POLISH_NEWTON_STEPS`` steps, or where ||F|| has set no new low in
+    ``_NEWTON_STALL_STEPS`` steps, counted from the first step's result.
     Returns ``(lam, z / ||z||)``.
     """
     k = support.size
@@ -310,12 +322,22 @@ def _newton_face(A, B, lam, x, support):
     fval = np.empty(k + 1)
     jac = np.zeros((k + 1, k + 1))
     f_face, j_face, j_col, j_row = fval[:k], jac[:k, :k], jac[:k, k], jac[k, :k]
-    for _ in range(_POLISH_NEWTON_STEPS):
+    low, since_low = math.inf, 0
+    for step in range(_POLISH_NEWTON_STEPS):
         bz = B.contract_m_minus_1(z).take(support)
         np.subtract(A.contract_m_minus_1(z).take(support), lam_z * bz, out=f_face)
         fval[k] = 0.5 * (float(zs @ zs) - 1.0)
-        if _norm(fval) <= 1e-13 * max(1.0, abs(lam_z)):
+        f_norm = _norm(fval)
+        if f_norm <= 1e-13 * max(1.0, abs(lam_z)):
             break
+        # The first step from the cut's point may overshoot by orders of
+        # magnitude before Newton closes in, so the low counts from its result.
+        if f_norm < low or step == 1:
+            low, since_low = f_norm, 0
+        else:
+            since_low += 1
+            if since_low == _NEWTON_STALL_STEPS:
+                break
         face_ab = A.contract_m_minus_2(z).take(face) - lam_z * B.contract_m_minus_2(z).take(face)
         np.multiply(A.order - 1, face_ab.reshape(k, k), out=j_face)
         np.negative(bz, out=j_col)

@@ -117,16 +117,23 @@ def test_shift_eigenvalue_matches_the_three_term_hessian(problem, rng):
             assert abs(got - min_eig_sym(H)) <= 1e-12 * np.abs(H).max(), problem
 
 
+class _FormedHIdentity(HIdentity):
+    """The diagonal identity, but not of type HIdentity, so the Hessian forms its matrix."""
+
+
 @pytest.mark.parametrize("problem", ["ex4:n=5", "ex5:n=5", "ex6:n=5"])
-def test_diagonal_identity_shift_eigenvalue_is_the_hessians_bit_for_bit(problem):
-    """Under the diagonal identity the shift takes lam x^{m-2} off a copy of
-    A x^{m-2}'s diagonal instead of forming B x^{m-2}, with the bits of
-    :meth:`MeritEval.rayleigh_hessian` and so of its smallest eigenvalue."""
+def test_diagonal_identity_hessian_is_the_formed_ones_bit_for_bit(problem):
+    """Under the diagonal identity the Hessian takes lam x^{m-2} off a copy of
+    A x^{m-2}'s diagonal instead of forming B x^{m-2}, with the bits of the
+    Hessian that forms diag(x^{m-2}), and so the shift's eigenvalue too."""
     A, B = build(parse_problem(problem))
     assert type(B) is HIdentity
+    formed = _FormedHIdentity(B.order, B.dim)
     for seed in range(20):
-        ev = evaluate(A, B, random_start(A.dim, seed))
-        assert ev.rayleigh_hessian_min_eig() == min_eig_sym(ev.rayleigh_hessian()), (problem, seed)
+        x = random_start(A.dim, seed)
+        ev, want = evaluate(A, B, x), evaluate(A, formed, x).rayleigh_hessian()
+        assert ev.rayleigh_hessian().tobytes() == want.tobytes(), (problem, seed)
+        assert ev.rayleigh_hessian_min_eig() == min_eig_sym(want), (problem, seed)
 
 
 @pytest.mark.parametrize("scale", [1e-110, 1e110])

@@ -628,6 +628,41 @@ def test_newton_takes_minimum_norm_steps_only_on_singular_faces(monkeypatch):
             assert calls["lstsq"] == 0, problem
 
 
+def test_newton_ends_faces_whose_residual_stalls(monkeypatch):
+    """The polishes of this spg1 run meet faces where Newton cycles at
+    ||F|| around 1e-3 without converging.  The stall stop ends those faces
+    early, and the report is the one that the full 25 steps give."""
+    A, B = build(parse_problem("rand:n=16,m=4,seed=2709000113"))
+    steps = [0]
+
+    def counting(*args, _f=teicp.solvers._inv, **kwargs):
+        steps[0] += 1
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(teicp.solvers, "_inv", counting)
+    runs = []
+    for stall in (teicp.solvers._NEWTON_STALL_STEPS, teicp.solvers._POLISH_NEWTON_STEPS):
+        monkeypatch.setattr(teicp.solvers, "_NEWTON_STALL_STEPS", stall)
+        steps[0] = 0
+        rep = spg1(A, B, random_start(A.dim, 2709000113), SolverConfig(max_iters=40))
+        runs.append((rep.status, rep.iters, rep.pair.lam.hex(), rep.pair.x.tobytes(), steps[0]))
+    (*stopped, stopped_steps), (*full, full_steps) = runs
+    assert stopped == full
+    assert 0 < 2 * stopped_steps < full_steps
+
+
+@pytest.mark.parametrize("r, name", [(3, "spa"), (26, "spa"), (80, "spg2"), (80, "sspa")])
+def test_polish_of_singular_ex4_faces_reaches_its_target(r, name):
+    """On ex4's lam = 0 faces J is singular and the minimum-norm step gains
+    digits only linearly, but steadily, so no stall stop ends them: the
+    polished pair meets the polish's 1e-10 target (10 steps left it at
+    4.3e-10 to 9.5e-9)."""
+    A, B = build(parse_problem("ex4:n=5"))
+    rep = SOLVERS[name](A, B, random_start(5, 20240 + r))
+    assert rep.status is Status.CONVERGED
+    assert rep.residual.max_violation() <= teicp.solvers._POLISH_TARGET
+
+
 def test_solvers_reject_bad_problems():
     A = HIdentity(3, 2)  # odd order
     with pytest.raises(ValueError):
