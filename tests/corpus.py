@@ -6,11 +6,11 @@ A refactor must keep every report bit-identical, or explain each change in
     python tests/corpus.py --against HEAD~1
 
 exports that revision's ``src`` with ``git archive`` into a temporary
-directory next to a copy of this tree's ``tests/*.py``, runs both sets below
-on both trees at once (one BLAS thread each), prints each tree's run counts,
-and then per set "identical", or else the ``--compare`` summary.
-``python tests/corpus.py > out.txt`` prints both sets, each after a
-``# golden`` or ``# corpus`` line, and ``--compare old.txt new.txt``
+directory next to a copy of this tree's ``tests/*.py``, runs the three sets
+below on both trees at once (one BLAS thread each), prints each tree's run
+counts, and then per set "identical", or else the ``--compare`` summary.
+``python tests/corpus.py > out.txt`` prints the three sets, each after a
+``# golden``, ``# corpus`` or ``# tail`` line, and ``--compare old.txt new.txt``
 summarizes two such outputs per set: whether the entries and packed-matrix
 digests are equal, how many runs changed in some field, in all and per
 (problem, solver), each run whose status or iteration count changed, and
@@ -23,8 +23,7 @@ indefinite B, ex1 from two vertices and ex2:n=5 from ones, e1, e5 and near
 e1.  Every solver runs under the Rayleigh merit and under ``max_iters=3``,
 and spg1 and spg2 also under the log merit and with
 ``paper_literal_safeguards=True``.  ``test_golden_reports`` checks its lines
-against ``golden.txt`` bit for bit; ``--record`` re-records that file and
-prints how it changed, which is for intended and explained changes only.
+against ``golden.txt`` bit for bit.
 
 The corpus set has 5,940 runs from ``random_start(n, 20240 + r)``: r < 100
 on ex1, ex2:n=5, ex3, ex4:n=5, ex5:n=5 and ex6:n=5 (the criterion-8
@@ -33,6 +32,17 @@ rand:n=16,m=4,seed=0, rand:n=6,m=4 and rand:n=4,m=6, under all configs but
 ``max_iters=3``.  Each of its problems first gets a line with the sha256
 digest of its tensor's entries and one with the digest of the packed matrix
 its contractions read (``T._packed``), so it covers the tensor builders too.
+
+The tail set has the 23 runs that polish most, which the other two sets
+almost never reach: spg1 on rand:n=16,m=4,seed=S from ``random_start(16, S)``
+for eight ``cli-fresh`` ops S (seven of them polish 112 to 420 times), and
+all five solvers from ones on ex1 with its class values times 1e-8, 4 and
+1e12 (at 1e12 no polish certifies and every run ends ``MaxIters``), all
+under the Rayleigh config.  Its counts also list the polishes of each run,
+since one run can hold a change's whole effect on the polish.
+``test_tail_reports`` checks its lines against ``tail.txt`` bit for bit.
+``--record`` re-records ``golden.txt`` and ``tail.txt`` and prints how each
+changed, which is for intended and explained changes only.
 
 Every run keeps its iterates.  Its line is the case key (problem, start,
 solver, config), the status, the iteration count, ``lam.hex()`` and one
@@ -46,8 +56,8 @@ how many times the driver polished
 (``_newton_face`` calls) and how many Newton steps those solves took (calls
 of the inverse that each step makes), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
-Both sets take about 13 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
-thread; 12.5-14.4 s in three runs), the golden set under 0.5 s of it.
+The three sets take about 9 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
+thread), the golden set under 0.5 s of it and the tail set about 1.6 s.
 """
 
 from __future__ import annotations
@@ -74,10 +84,11 @@ from helpers import lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
 from teicp.solvers import SOLVERS, SolverConfig, Status  # noqa: E402
-from teicp.tensor import HIdentity, diagonal_tensor  # noqa: E402
+from teicp.tensor import HIdentity, _from_class_values, diagonal_tensor  # noqa: E402
 from test_acceptance import STARTS  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.txt")
+TAIL = Path(__file__).with_name("tail.txt")
 SEED = 20240
 PROBLEMS = (
     [(p, 100) for p in ("ex1", "ex2:n=5", "ex3", "ex4:n=5", "ex5:n=5", "ex6:n=5")]
@@ -117,7 +128,26 @@ def _corpus_problems():
         yield problem, (A, B), [random_start(A.dim, SEED + r) for r in range(count)]
 
 
-SETS = {"golden": (_golden_problems, tuple(CONFIGS)), "corpus": (_corpus_problems, ("rayleigh", "log", "literal"))}
+# cli-fresh ops whose spg1 run polishes most, and one short one (8000117).
+TAIL_SEEDS = (2709000044, 2709000113, 2709000621, 7000043, 7000204, 2000434, 8000204, 8000117)
+
+
+def _tail_problems():
+    """As the other sets' problems, each with the solvers it runs."""
+    for seed in TAIL_SEEDS:
+        problem = f"rand:n=16,m=4,seed={seed}"
+        yield problem, build(parse_problem(problem)), [random_start(16, seed)], ("spg1",)
+    A, B = build(parse_problem("ex1"))
+    for c in (1e-8, 4.0, 1e12):
+        yield f"ex1*{c:g}", (_from_class_values(A._values * c, A.dim, A.order), B), [np.ones(3)], tuple(SOLVERS)
+
+
+SETS = {
+    "golden": (_golden_problems, tuple(CONFIGS)),
+    "corpus": (_corpus_problems, ("rayleigh", "log", "literal")),
+    "tail": (_tail_problems, ("rayleigh",)),
+}
+RECORDS = {"golden": GOLDEN, "tail": TAIL}
 
 
 def _digest(parts) -> str:
@@ -167,24 +197,29 @@ def _newton_steps():
 
 def run_set(name: str) -> tuple[list[str], str]:
     """One set's output lines, and its counts: runs, how many end ``Converged``
-    and certify, iterations, polishes, face Newton solves and their steps."""
+    and certify, iterations, polishes, face Newton solves and their steps, and
+    for the tail set the polishes of each run."""
     with _counting(teicp.solvers, "_polish", "_newton_face") as calls, _newton_steps() as steps:
-        lines, counts = _run_set(name)
+        lines, counts, polishes = _run_set(name, calls)
     solves, total = calls["_newton_face"], sum(steps.values())
-    return lines, f"{counts}, {calls['_polish']} polishes, {solves} face solves, {total} Newton steps"
+    counts = f"{counts}, {calls['_polish']} polishes, {solves} face solves, {total} Newton steps"
+    if name == "tail":
+        counts += f", polishes per run {' '.join(map(str, polishes))}"
+    return lines, counts
 
 
-def _run_set(name: str) -> tuple[list[str], str]:
+def _run_set(name: str, calls: dict) -> tuple[list[str], str, list[int]]:
     problems, configs = SETS[name]
-    lines, runs, converged, certified, iters = [], 0, 0, 0, 0
-    for problem, (A, B), starts in problems():
+    lines, runs, converged, certified, iters, polishes = [], 0, 0, 0, 0, []
+    for problem, (A, B), starts, *only in problems():
         if name == "corpus":  # golden.txt holds runs only
             for kind, array in (("entries", A.entries), ("packed", A._packed)):
                 lines.append(f"{problem} {kind} {hashlib.sha256(array.tobytes()).hexdigest()}")
         for i, x0 in enumerate(starts):
             for config in configs:
                 cfg, solvers = CONFIGS[config]
-                for solver in solvers:
+                for solver in only[0] if only else solvers:
+                    before = calls["_polish"]
                     try:
                         rep = SOLVERS[solver](A, B, x0, cfg)
                     except Exception as exc:  # a raise is a result to compare too
@@ -196,8 +231,10 @@ def _run_set(name: str) -> tuple[list[str], str]:
                             converged += 1
                             certified += rep.residual.max_violation() <= cfg.tol
                     lines.append(f"{problem} x0#{i} {solver} {config} {line}")
+                    polishes.append(calls["_polish"] - before)
                     runs += 1
-    return lines, f"{runs} runs, {converged} Converged, {certified} of them certified, {iters} iterations"
+    counts = f"{runs} runs, {converged} Converged, {certified} of them certified, {iters} iterations"
+    return lines, counts, polishes
 
 
 def _read(lines) -> tuple[dict, dict]:
@@ -283,7 +320,7 @@ def export_src(rev: str, dest: Path) -> None:
 
 
 def against(rev: str) -> int:
-    """Run both sets on ``rev``'s ``src`` and on this tree's; print how they compare."""
+    """Run every set on ``rev``'s ``src`` and on this tree's; print how they compare."""
     script = Path(__file__).resolve()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
@@ -312,10 +349,10 @@ def against(rev: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print, record or compare the golden and corpus sets.")
+    parser = argparse.ArgumentParser(description="Print, record or compare the golden, corpus and tail sets.")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="summarize how two outputs differ")
-    parser.add_argument("--against", metavar="REV", help="run both sets on REV's src and on this tree, and compare")
-    parser.add_argument("--record", action="store_true", help="re-record golden.txt and say what changed")
+    parser.add_argument("--against", metavar="REV", help="run every set on REV's src and on this tree, and compare")
+    parser.add_argument("--record", action="store_true", help="re-record golden.txt and tail.txt and say what changed")
     args = parser.parse_args()
     if args.compare:
         old, new = (Path(path).read_text(encoding="utf-8") for path in args.compare)
@@ -324,11 +361,12 @@ def main() -> int:
     if args.against:
         return against(args.against)
     if args.record:
-        lines, counts = run_set("golden")
-        old = GOLDEN.read_text(encoding="utf-8").splitlines() if GOLDEN.exists() else []
-        GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"golden: {counts}", file=sys.stderr)
-        print("\n".join(compare(old, lines)))
+        for name, path in RECORDS.items():
+            lines, counts = run_set(name)
+            old = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            print(f"{name}: {counts}", file=sys.stderr)
+            print(f"{name}:", *("  " + line for line in compare(old, lines)), sep="\n")
         return 0
     for name in SETS:
         lines, counts = run_set(name)

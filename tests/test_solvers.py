@@ -7,7 +7,7 @@ import pytest
 import teicp.merit
 import teicp.solvers
 
-from corpus import GOLDEN, compare, compare_outputs, gate_cases, run_set
+from corpus import GOLDEN, TAIL, compare, compare_outputs, gate_cases, run_set
 from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect, three_term_rayleigh_hessian
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
 from teicp.merit import MeritKind, evaluate, rayleigh_gradient
@@ -965,6 +965,17 @@ def test_golden_reports():
     got, _ = run_set("golden")
     assert got == want, "\n".join(compare(want, got))
     assert {line.split()[-4] for line in want} == {s.value for s in Status}
+
+
+def test_tail_reports():
+    """Every tail-set report, the runs that polish most, matches ``tail.txt`` bit for bit.
+
+    Recorded with numpy 2.4.6, and re-recorded with the golden set by
+    ``python tests/corpus.py --record``.
+    """
+    want = TAIL.read_text(encoding="utf-8").splitlines()
+    got, _ = run_set("tail")
+    assert got == want, "\n".join(compare(want, got))
 
 
 def test_corpus_compare_lists_status_and_lambda_changes():
