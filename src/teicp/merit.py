@@ -64,11 +64,10 @@ class MeritEval:
     ``lam`` is always A x^m / B x^m regardless of the merit kind; under the
     Rayleigh merit ``value == lam``.  ``y`` is the residual
     A x^{m-1} - lam B x^{m-1}.  The contractions behind these are made once
-    per point; :meth:`rayleigh_hessian` adds only the two x^{m-2} ones, and
-    :meth:`rayleigh_hessian_min_eig` only A's under either identity.
-    The record is built once per evaluated point, so it has slots and is
-    built positionally; nothing writes to it after.  ``_log_gradient`` is
-    None under the Rayleigh merit.
+    per point; the Rayleigh Hessian (:meth:`_hessian`) adds A x^{m-2}, and
+    B x^{m-2} only where B is neither identity.  The record is built once
+    per evaluated point, so it has slots and is built positionally; nothing
+    writes to it after.  ``_log_gradient`` is None under the Rayleigh merit.
     """
 
     value: float
@@ -88,84 +87,89 @@ class MeritEval:
     def rayleigh_hessian(self) -> np.ndarray:
         """Exact Hessian of the Rayleigh quotient, exactly symmetric.
 
-        With u = B x^{m-1}, b = B x^m and the residual y = A x^{m-1} - lam u,
-        H = (m (m-1) / b) (A x^{m-2} - lam B x^{m-2}) - (m / b)^2 (y u' + u y'),
-        which is the three-term closed form with its two rank-2 terms combined
-        through y.  Near an eigenpair y -> 0, so the correction vanishes
-        instead of being the difference of two O(lam) terms.  b enters only
-        as m / b, once per factor, so no power of b under- or overflows where
-        H is finite (B = 1e-110 I or 1e110 I scales H by 1/b and nothing else).
-        The rank-2 term is added as r + r' with r = (m / b)^2 y u', so H is
-        exactly symmetric wherever both x^{m-2} contractions are.  Under the
-        diagonal identity B x^{m-2} is diag(x^{m-2}), so lam x^{m-2} is taken
-        off the diagonal of a copy of A x^{m-2} instead, with the bits of the
-        full form and no B matrix.  Where a product overflows, H holds inf or
-        NaN instead of raising; callers test it.
+        It is G - alpha I from :meth:`_hessian`.  Where a product overflows,
+        H holds inf or NaN instead of raising; callers test it.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._hessian()
+            H, alpha = self._hessian()
+            H.reshape(-1)[:: H.shape[0] + 1] -= alpha
+        return H
 
-    def _hessian(self) -> np.ndarray:
-        """:meth:`rayleigh_hessian` under the caller's floating-point error flags."""
+    def _hessian(self) -> tuple[np.ndarray, float]:
+        """(G, alpha) with the Rayleigh Hessian H = G - alpha I, under the caller's error flags.
+
+        With u = B x^{m-1}, b = B x^m, s = m / b and the residual
+        y = A x^{m-1} - lam u,
+        H = (m-1) s P - s^2 (y u' + u y') with P = A x^{m-2} - lam B x^{m-2}
+        (see :func:`_pencil`), the three-term closed form with its two rank-2
+        terms combined through y.  Near an eigenpair y -> 0, so the
+        correction vanishes instead of being the difference of two O(lam)
+        terms.  b enters only as s, once per factor, so no power of b under-
+        or overflows where H is finite (B = 1e-110 I or 1e110 I scales H by
+        1/b and nothing else).  Under the sphere identity, with q = x . x,
+        u = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q, so alpha = m lam / q,
+        G = (m-1) s A x^{m-2} - (x w' + w x') and
+        w = (m (m-2) lam / (2 q^2)) x + (m s / q) y.  Under any other B,
+        alpha = 0 and G = H.  No B x^{m-2} matrix is formed under either
+        identity.  The rank-2 term is added as r + r', so G is exactly
+        symmetric wherever A x^{m-2} is.
+        """
         A, B, x, bxm, bxm1 = self._at
         m = A.order
-        scale = m / bxm
-        if type(B) is HIdentity:
-            H = np.array(A.contract_m_minus_2(x))
-            diagonal = H.reshape(-1)[:: A.dim + 1]
-            diagonal -= x ** (m - 2) * self.lam
+        s = m / bxm
+        if type(B) is ZIdentity:
+            q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
+            alpha = m * self.lam / q
+            w = x * (alpha * (m - 2) / (2.0 * q))
+            w += self.y * (m * s / q)
+            G = A.contract_m_minus_2(x) * ((m - 1) * s)
+            r = np.multiply.outer(x, w)
         else:
-            H = np.multiply(B.contract_m_minus_2(x), self.lam)
-            np.subtract(A.contract_m_minus_2(x), H, out=H)
-        H *= (m - 1) * scale
-        r = np.multiply.outer(scale * self.y, scale * bxm1)
-        H -= r + r.T
-        return H
+            alpha = 0.0
+            G = _pencil(A, B, self.lam, x)
+            G *= (m - 1) * s
+            r = np.multiply.outer(s * self.y, s * bxm1)
+        G -= r + r.T
+        return G, alpha
 
     def rayleigh_hessian_min_eig(self) -> float:
         """The smallest eigenvalue of the Rayleigh Hessian, the curvature the shift reads.
 
-        No B x^{m-2} matrix is formed under either identity.  Under the
-        sphere identity, with s = m / b and q = x . x,
-        B x^{m-1} = q^{(m-2)/2} x and s q^{(m-2)/2} = m / q, so H = G - alpha I
-        with alpha = m lam / q, G = (m-1) s A x^{m-2} - (x w' + w x') and
-        w = (m (m-2) lam / (2 q^2)) x + (m s / q) y, and
-        lambda_min(H) = lambda_min(G) - alpha.  Any other B takes
-        :meth:`rayleigh_hessian`, which folds the diagonal identity into a
-        copy of A x^{m-2}, inside this method's one ``np.errstate`` block.
-        Either way it is one n x n matrix, exactly symmetric, and one call of
-        LAPACK's symmetric eigenvalue kernel through numpy's ``eigvalsh_lo``
-        gufunc, the kernel ``np.linalg.eigvalsh`` wraps, with its bits and
-        without the wrapper's checks.  Raises :class:`MeritDomainError`
-        where the matrix is not finite or the smallest eigenvalue is not,
-        which includes an eigen-solve that does not converge: the kernel
-        returns NaN there.  The matrix is tested before the solve because
-        LAPACK returns finite eigenvalues for a 2 x 2 matrix with a NaN on
-        its diagonal.
+        It is lambda_min(G) - alpha for :meth:`_hessian`'s G and alpha: one
+        n x n matrix and one call of LAPACK's symmetric eigenvalue kernel
+        through numpy's ``eigvalsh_lo`` gufunc, the kernel
+        ``np.linalg.eigvalsh`` wraps, with its bits and without the
+        wrapper's checks.  Raises :class:`MeritDomainError` where G is not
+        finite or the smallest eigenvalue is not, which includes an
+        eigen-solve that does not converge: the kernel returns NaN there.
+        G is tested before the solve because LAPACK returns finite
+        eigenvalues for a 2 x 2 matrix with a NaN on its diagonal.
         """
-        A, B, x, bxm, _ = self._at
-        alpha = 0.0
         # The kernel runs under the flags np.linalg.eigvalsh sets for it but
         # the invalid one, whose NaN the test below reads instead.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if type(B) is ZIdentity:
-                m = A.order
-                s = m / bxm
-                q = float(x.dot(x))  # q > 0, as b = q^{m/2} is not 0
-                alpha = m * self.lam / q
-                w = x * (alpha * (m - 2) / (2.0 * q))
-                w += self.y * (m * s / q)
-                M = A.contract_m_minus_2(x) * ((m - 1) * s)
-                r = np.multiply.outer(x, w)
-                M -= r + r.T
-            else:
-                M = self._hessian()
-            if not np.isfinite(M).all():
+            G, alpha = self._hessian()
+            if not np.isfinite(G).all():
                 raise MeritDomainError("the Rayleigh Hessian is not finite")
-            low = float(_eigvalsh_lo(M, signature="d->d")[0]) - alpha
+            low = float(_eigvalsh_lo(G, signature="d->d")[0]) - alpha
         if not math.isfinite(low):
             raise MeritDomainError("the Rayleigh Hessian's smallest eigenvalue is not finite")
         return low
+
+
+def _pencil(A: TensorOperator, B: TensorOperator, lam: float, x: np.ndarray) -> np.ndarray:
+    """A new matrix A x^{m-2} - lam B x^{m-2}.
+
+    Under the diagonal identity B x^{m-2} is diag(x^{m-2}), so lam x^{m-2}
+    is taken off the diagonal of a copy of A x^{m-2} instead, with the bits
+    of the form that builds diag(x^{m-2}).
+    """
+    if type(B) is HIdentity:
+        P = np.array(A.contract_m_minus_2(x))
+        P.reshape(-1)[:: A.dim + 1] -= x ** (A.order - 2) * lam
+        return P
+    P = np.multiply(B.contract_m_minus_2(x), lam)
+    return np.subtract(A.contract_m_minus_2(x), P, out=P)
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:

@@ -56,6 +56,7 @@ from .merit import (
     MeritKind,
     SingularDenominatorError,
     _pair_check,
+    _pencil,
     evaluate,
     log_value,
     rayleigh_value,
@@ -298,7 +299,10 @@ def _newton_face(A, B, lam, x, support):
     z stays a full-length vector that is zero off ``support``, so the full
     contractions sliced to the support are the face's: (T z^{m-1})[I] is
     T_I z_I^{m-1} and (T z^{m-2})[I, I] is T_I z_I^{m-2}, for every operator.
-    Each step is delta = -J^{-1} F from one call of LAPACK's inverse, the
+    With F = (A z^{m-1} - lam B z^{m-1}, (z . z - 1) / 2) on the face, J's
+    (z, z) block is (m-1) P[I, I] for the pencil matrix
+    P = A z^{m-2} - lam B z^{m-2} of :func:`~teicp.merit._pencil`, its lambda
+    column is -B z^{m-1} and its last row is z'.  Each step is delta = -J^{-1} F from one call of LAPACK's inverse, the
     ``inv`` gufunc that ``np.linalg.inv`` wraps, with its bits and without
     the wrapper.  Its result also gives the condition estimate
     ||J||_max ||J^{-1}||_max of J with its lambda column -B z^{m-1} scaled to
@@ -338,8 +342,7 @@ def _newton_face(A, B, lam, x, support):
             since_low += 1
             if since_low == _NEWTON_STALL_STEPS:
                 break
-        face_ab = A.contract_m_minus_2(z).take(face) - lam_z * B.contract_m_minus_2(z).take(face)
-        np.multiply(A.order - 1, face_ab.reshape(k, k), out=j_face)
+        np.multiply(A.order - 1, _pencil(A, B, lam_z, z).take(face).reshape(k, k), out=j_face)
         np.negative(bz, out=j_col)
         j_row[:] = zs
         inv = _inv(jac, signature="d->d")

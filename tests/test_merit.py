@@ -136,6 +136,30 @@ def test_diagonal_identity_hessian_is_the_formed_ones_bit_for_bit(problem):
         assert ev.rayleigh_hessian_min_eig() == min_eig_sym(want), (problem, seed)
 
 
+@pytest.mark.parametrize("problem", ["ex1", "rand:n=6,m=6,seed=1", "rand:n=5,m=2"])
+def test_sphere_identity_hessian_forms_no_b_matrix(problem, rng, monkeypatch):
+    """The public Hessian under the sphere identity is G - alpha I, the shift's
+    fold, so it calls no ``ZIdentity.contract_m_minus_2``, and it is the
+    three-term form's to 1e-12 of max |H|, at unit and non-unit points."""
+    A, B = build(parse_problem(problem))
+    assert type(B) is ZIdentity
+    calls = []
+
+    def spy(self, x, _f=ZIdentity.contract_m_minus_2):
+        calls.append(1)
+        return _f(self, x)
+
+    for x in sample_sphere_plus(A.dim, 4, rng) + 0.05:
+        for point in (x / np.linalg.norm(x), 3.7 * x):
+            with monkeypatch.context() as patch:
+                patch.setattr(ZIdentity, "contract_m_minus_2", spy)
+                H = evaluate(A, B, point).rayleigh_hessian()
+            assert not calls, problem
+            assert np.array_equal(H, H.T)
+            want = three_term_rayleigh_hessian(A, B, point)
+            assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max(), problem
+
+
 @pytest.mark.parametrize("scale", [1e-110, 1e110])
 def test_rayleigh_hessian_scales_with_b(scale, ex1):
     """H(A, s B) = H(A, B) / s, also where s^3 under- or overflows.

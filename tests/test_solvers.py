@@ -651,6 +651,33 @@ def test_newton_ends_faces_whose_residual_stalls(monkeypatch):
     assert 0 < 2 * stopped_steps < full_steps
 
 
+def test_no_diagonal_identity_matrix_is_formed_in_a_solve(monkeypatch):
+    """Under the diagonal identity the shift's Hessian and the polish's Newton
+    Jacobian both take lam x^{m-2} off the diagonal of a copy of A x^{m-2}
+    (``teicp.merit._pencil``), so no solve on ex4-ex6 calls
+    ``HIdentity.contract_m_minus_2``, polishes and Newton steps included."""
+    calls = {"cm2": 0, "inv": 0}
+
+    def spy_cm2(self, x, _f=HIdentity.contract_m_minus_2):
+        calls["cm2"] += 1
+        return _f(self, x)
+
+    def spy_inv(*args, _f=teicp.solvers._inv, **kwargs):
+        calls["inv"] += 1
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(HIdentity, "contract_m_minus_2", spy_cm2)
+    monkeypatch.setattr(teicp.solvers, "_inv", spy_inv)
+    for problem in ("ex4:n=5", "ex5:n=5", "ex6:n=5"):
+        A, B = build(parse_problem(problem))
+        assert type(B) is HIdentity
+        for r in range(4):
+            for solver in SOLVERS.values():
+                solver(A, B, random_start(A.dim, 20240 + r))
+    assert calls["inv"] > 0
+    assert calls["cm2"] == 0
+
+
 @pytest.mark.parametrize("r, name", [(3, "spa"), (26, "spa"), (80, "spg2"), (80, "sspa")])
 def test_polish_of_singular_ex4_faces_reaches_its_target(r, name):
     """On ex4's lam = 0 faces J is singular and the minimum-norm step gains
