@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import statistics
 import sys
 
@@ -151,13 +152,38 @@ def _report_dict(name: str, rep: SolverReport) -> dict:
     }
 
 
+# The C encoder, as json.dumps uses it, but raising ValueError on NaN and
+# infinities, which RFC 8259 JSON cannot hold.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _finite(value):
+    """``value`` with each non-finite float, an unmeasured field, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_value(value) -> str:
+    """One compact JSON value, non-finite numbers written as ``null``."""
+    try:
+        return _encode(value)
+    except ValueError:
+        return _encode(_finite(value))
+
+
 def _json_text(doc: list) -> str:
     """The list as ``[``, one compact JSON value per line, then ``]``.
 
     ``indent`` would make ``json`` use its pure-Python encoder, which took
-    more than twice the C encoder's time on a solve report.
+    more than twice the C encoder's time on a solve report.  A value is
+    encoded once, and again only where it holds a NaN or an infinity.
     """
-    return "[\n" + ",\n".join(map(json.dumps, doc)) + "\n]\n"
+    return "[\n" + ",\n".join(map(_json_value, doc)) + "\n]\n"
 
 
 def _csv_text(fields, rows) -> str:

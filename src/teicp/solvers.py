@@ -41,6 +41,7 @@ y_k = g_k - g_{k+1}, so the curvature <s, y> is positive near maxima.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -131,8 +132,9 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not math.isfinite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        # The driver's cap test is k >= max_iters, which inf and NaN never meet.
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass

@@ -56,8 +56,9 @@ how many times the driver polished
 (``_newton_face`` calls) and how many Newton steps those solves took (calls
 of the inverse that each step makes), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
-The three sets take about 9 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
-thread), the golden set under 0.5 s of it and the tail set about 1.6 s.
+The three sets take about 10 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
+thread; 9.3-10.3 s in two runs), the golden set under 0.5 s of it and the
+tail set about 1.6 s.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -282,6 +283,45 @@ def test_multistart_histogram_in_summary(capsys):
     text = capsys.readouterr().out
     assert "0.363" in text
     assert "median iters" in text
+
+
+def _strict_json(text):
+    """json.loads, refusing the NaN and Infinity tokens RFC 8259 parsers reject."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", [["solve"], ["multistart", "--runs", "2"]])
+def test_json_writes_unmeasured_numbers_as_null(command, capsys):
+    """Under the log merit ex5's start is outside the domain, so its trace row
+    holds no merit or gradient norm: they are null, and the document is JSON."""
+    argv = command + ["--problem", "ex5:n=5", "--solver", "spg1", "--merit", "log", "--seed", "0"]
+    main(argv + ["--format", "json"])
+    doc = _strict_json(capsys.readouterr().out)
+    if command == ["solve"]:
+        row = doc[0]["trace"][0]
+        assert row["merit"] is None and row["grad_norm"] is None
+        assert doc[0]["status"] == "DomainError" and math.isfinite(doc[0]["lambda"])
+    # CSV keeps writing them as nan.
+    main(argv + ["--format", "csv"])
+    assert ("nan" in capsys.readouterr().out) == (command == ["solve"])
+
+
+def test_json_value_encodes_once_where_every_number_is_finite(monkeypatch):
+    calls = []
+    encode = teicp.cli._encode
+
+    def counting(value):
+        calls.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(teicp.cli, "_encode", counting)
+    assert teicp.cli._json_value({"a": [1.5, 2]}) == '{"a": [1.5, 2]}'
+    assert len(calls) == 1
+    assert teicp.cli._json_value({"a": [float("nan"), -float("inf")], "b": 1.0}) == '{"a": [null, null], "b": 1.0}'
+    assert len(calls) == 3
 
 
 def test_multistart_json_without_out_prints_only_the_document(capsys, tmp_path):

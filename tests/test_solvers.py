@@ -971,6 +971,12 @@ def test_config_validation():
             SolverConfig(tau=bad)
     with pytest.raises(ValueError, match="rho"):
         SolverConfig(rho=math.nan)
+    # A cap that k >= max_iters never meets would let a run that never
+    # certifies go on for ever.
+    for bad in (math.inf, math.nan, 2.5, 0, -3):
+        with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
 
 
 def test_paper_literal_safeguards_flag(ex1):
