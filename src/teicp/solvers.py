@@ -304,9 +304,10 @@ def _newton_face(A, B, lam, x, support):
     With F = (A z^{m-1} - lam B z^{m-1}, (z . z - 1) / 2) on the face, J's
     (z, z) block is (m-1) P[I, I] for the pencil matrix
     P = A z^{m-2} - lam B z^{m-2} of :func:`~teicp.merit._pencil`, its lambda
-    column is -B z^{m-1} and its last row is z'.  Each step is delta = -J^{-1} F from one call of LAPACK's inverse, the
-    ``inv`` gufunc that ``np.linalg.inv`` wraps, with its bits and without
-    the wrapper.  Its result also gives the condition estimate
+    column is -B z^{m-1} and its last row is z'.  Each step is
+    delta = -J^{-1} F from one call of LAPACK's inverse, the ``inv`` gufunc
+    that ``np.linalg.inv`` wraps, with its bits and without the wrapper.
+    Its result also gives the condition estimate
     ||J||_max ||J^{-1}||_max of J with its lambda column -B z^{m-1} scaled to
     max 1, so the estimate does not grow with the scale of B.  A singular J
     comes back as NaN, which makes the estimate NaN; where the estimate is
