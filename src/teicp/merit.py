@@ -25,7 +25,7 @@ import numpy as np
 # wraps (in numpy.linalg._umath_linalg since numpy 1.8).
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
-from .tensor import HIdentity, TensorOperator, ZIdentity
+from .tensor import TensorOperator, ZIdentity
 
 __all__ = [
     "MeritKind",
@@ -158,18 +158,10 @@ class MeritEval:
 
 
 def _pencil(A: TensorOperator, B: TensorOperator, lam: float, x: np.ndarray) -> np.ndarray:
-    """A new matrix A x^{m-2} - lam B x^{m-2}.
-
-    Under the diagonal identity B x^{m-2} is diag(x^{m-2}), so lam x^{m-2}
-    is taken off the diagonal of a copy of A x^{m-2} instead, with the bits
-    of the form that builds diag(x^{m-2}).
-    """
-    if type(B) is HIdentity:
-        P = np.array(A.contract_m_minus_2(x))
-        P.reshape(-1)[:: A.dim + 1] -= x ** (A.order - 2) * lam
-        return P
-    P = np.multiply(B.contract_m_minus_2(x), lam)
-    return np.subtract(A.contract_m_minus_2(x), P, out=P)
+    """A new matrix A x^{m-2} - lam B x^{m-2}: a copy of A x^{m-2}, which B folds its term into."""
+    P = np.array(A.contract_m_minus_2(x), dtype=float)
+    B._fold(P, lam, x)
+    return P
 
 
 def _pair_check(A: TensorOperator, B: TensorOperator) -> None:

@@ -20,8 +20,12 @@ T x^{m-1} = (T x^{m-2}) x and T x^m = x . (T x^{m-1}).  The matrix
 ``contract_m_minus_2`` returns is read-only.
 
 ``contract_m_minus_1_and_m`` returns the pair (T x^{m-1}, T x^m) from one
-call, with the same bits as the two separate contractions; on a dense tensor
-it makes one matrix-vector product where the two calls make two.
+call.  By default it is (T x^{m-1}, x . T x^{m-1}), which on a dense tensor
+has the bits of the two separate contractions and makes one matrix-vector
+product where the two calls make two; the identities override it with their
+closed forms for T x^m.  ``_fold`` subtracts lam T x^{m-2} from a matrix in
+place, and each identity folds its own term, so no pencil
+A x^{m-2} - lam B x^{m-2} forms an identity's matrix.
 """
 
 from __future__ import annotations
@@ -134,8 +138,10 @@ class TensorOperator(abc.ABC):
 
     Implementations provide the homogeneous form T x^m, the vector
     T x^{m-1}, and the matrix T x^{m-2}.  The three are consistent:
-    x . (T x^{m-1}) = T x^m and x^T (T x^{m-2}) x = T x^m.  An operator that
-    gets T x^m from T x^{m-1} overrides ``contract_m_minus_1_and_m``.
+    x . (T x^{m-1}) = T x^m and x^T (T x^{m-2}) x = T x^m.  The pair
+    ``contract_m_minus_1_and_m`` defaults to (T x^{m-1}, x . T x^{m-1}),
+    and ``_fold`` to subtracting lam times the formed T x^{m-2}; an operator
+    with a closed form for either overrides it.
     """
 
     order: int
@@ -162,8 +168,13 @@ class TensorOperator(abc.ABC):
         """Symmetric matrix summing T against m-2 copies of x."""
 
     def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
-        """The pair (T x^{m-1}, T x^m), bit for bit the two contractions' results."""
-        return self.contract_m_minus_1(x), self.contract_m(x)
+        """The pair (T x^{m-1}, T x^m), with T x^m = x . (T x^{m-1}) by Euler's identity."""
+        v = self.contract_m_minus_1(x)
+        return v, float(v.dot(x))
+
+    def _fold(self, P: np.ndarray, lam: float, x: np.ndarray) -> None:
+        """Subtract lam T x^{m-2} from the square float matrix P, in place."""
+        P -= self.contract_m_minus_2(x) * lam
 
 
 class DenseSymmetricTensor(TensorOperator):
@@ -270,11 +281,6 @@ class DenseSymmetricTensor(TensorOperator):
     def contract_m_minus_2(self, x) -> np.ndarray:
         return self._matrix_at(self._coerce(x))
 
-    def contract_m_minus_1_and_m(self, x) -> tuple[np.ndarray, float]:
-        x = self._coerce(x)
-        v = self._matrix_at(x).dot(x)
-        return v, float(v.dot(x))
-
 
 @dataclass(frozen=True)
 class HIdentity(TensorOperator):
@@ -304,6 +310,10 @@ class HIdentity(TensorOperator):
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)
         return np.diag(x ** (self.order - 2))
+
+    def _fold(self, P: np.ndarray, lam: float, x: np.ndarray) -> None:
+        # lam x^{m-2} off the diagonal, with the bits of the formed diag(x^{m-2}).
+        P.reshape(-1)[:: self.dim + 1] -= x ** (self.order - 2) * lam
 
 
 def _power(base: float, exp: int) -> float:

@@ -28,7 +28,7 @@ from teicp import (
 )
 from teicp.problems import random_symmetric
 from teicp.solvers import Status
-from teicp.tensor import DenseSymmetricTensor, TensorOperator, diagonal_tensor
+from teicp.tensor import DenseSymmetricTensor, diagonal_tensor
 
 
 def dense_contract(entries, x, times):
@@ -79,10 +79,6 @@ class ReduceTensor(DenseSymmetricTensor):
         if self.order == 2:
             return self.entries
         return functools.reduce(np.dot, [self.entries] + [x] * (self.order - 2))
-
-    # The dense tensor's fused pair shares its GEMV; this one takes the
-    # base-class pair of the reduce chains above.
-    contract_m_minus_1_and_m = TensorOperator.contract_m_minus_1_and_m
 
 
 def class_keys_reference(dim, order):

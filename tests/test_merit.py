@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     check_fd_gradients,
     check_fd_hessians,
+    ReduceTensor,
     check_tangency,
     fd_gradient,
     fd_jacobian,
@@ -17,6 +18,7 @@ from teicp.merit import (
     MeritDomainError,
     MeritKind,
     SingularDenominatorError,
+    _pencil,
     evaluate,
     log_value,
     rayleigh_gradient,
@@ -26,7 +28,7 @@ from teicp.merit import (
 from teicp.problems import build, parse_problem, random_start, random_symmetric
 from teicp.projection import b_normalize
 from teicp.solvers import min_eig_sym
-from teicp.tensor import DenseSymmetricTensor, HIdentity, ZIdentity, diagonal_tensor
+from teicp.tensor import DenseSymmetricTensor, HIdentity, TensorOperator, ZIdentity, diagonal_tensor
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,9 @@ def test_shift_eigenvalue_matches_the_three_term_hessian(problem, rng):
 
 
 class _FormedHIdentity(HIdentity):
-    """The diagonal identity, but not of type HIdentity, so the Hessian forms its matrix."""
+    """The diagonal identity with the base class's fold, which forms its matrix."""
+
+    _fold = TensorOperator._fold
 
 
 @pytest.mark.parametrize("problem", ["ex4:n=5", "ex5:n=5", "ex6:n=5"])
@@ -134,6 +138,28 @@ def test_diagonal_identity_hessian_is_the_formed_ones_bit_for_bit(problem):
         ev, want = evaluate(A, B, x), evaluate(A, formed, x).rayleigh_hessian()
         assert ev.rayleigh_hessian().tobytes() == want.tobytes(), (problem, seed)
         assert ev.rayleigh_hessian_min_eig() == min_eig_sym(want), (problem, seed)
+
+
+def test_pencil_lets_the_operator_fold_its_term(rng):
+    """_pencil hands a copy of A x^{m-2} to B's ``_fold`` and never forms
+    B x^{m-2}; this B folds lam I into the diagonal."""
+    folds = []
+
+    class FoldOnly(ReduceTensor):
+        def contract_m_minus_2(self, x):
+            raise AssertionError("B x^{m-2} was formed")
+
+        def _fold(self, P, lam, x):
+            folds.append((lam, x))
+            P.reshape(-1)[:: self.dim + 1] -= lam
+
+    A = random_symmetric(4, 4, 1)
+    B = FoldOnly(random_symmetric(4, 4, 2).entries)
+    x = rng.standard_normal(4)
+    P = _pencil(A, B, 0.7, x)
+    assert len(folds) == 1 and folds[0][0] == 0.7 and folds[0][1] is x
+    assert np.array_equal(P, A.contract_m_minus_2(x) - 0.7 * np.eye(4))
+    assert P.flags.writeable and not np.shares_memory(P, A.contract_m_minus_2(x))
 
 
 @pytest.mark.parametrize("problem", ["ex1", "rand:n=6,m=6,seed=1", "rand:n=5,m=2"])

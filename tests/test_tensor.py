@@ -641,17 +641,36 @@ def test_identity_fused_pair_is_bitwise_the_two_contractions(cls, m, rng):
         assert _same_pair(T.contract_m_minus_1_and_m(x), (T.contract_m_minus_1(x), T.contract_m(x)))
 
 
-def test_base_class_fused_pair_calls_the_two_contractions(rng):
+def test_base_class_pair_is_the_euler_default(rng):
+    """The default pair is (T x^{m-1}, x . T x^{m-1}); on the reduce chains
+    that is bit for bit their T x^m, whose last step is the same dot."""
     T = ReduceTensor(random_symmetric(4, 4, 3).entries)
     assert type(T).contract_m_minus_1_and_m is TensorOperator.contract_m_minus_1_and_m
+    assert "contract_m_minus_1_and_m" not in vars(DenseSymmetricTensor)
     x = rng.standard_normal(4)
-    assert _same_pair(T.contract_m_minus_1_and_m(x), (T.contract_m_minus_1(x), T.contract_m(x)))
+    v = T.contract_m_minus_1(x)
+    assert _same_pair(T.contract_m_minus_1_and_m(x), (v, float(v.dot(x))))
+    assert _same_pair(T.contract_m_minus_1_and_m(x), (v, T.contract_m(x)))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_fold_subtracts_lam_times_the_formed_matrix(m, rng):
+    """The base class's fold and the diagonal identity's are P - lam T x^{m-2} bit for bit."""
+    dense = random_symmetric(4, m, 5)
+    for _ in range(20):
+        x, lam, P0 = rng.standard_normal(4), float(rng.standard_normal()), rng.standard_normal((4, 4))
+        for T in (dense, ReduceTensor(dense.entries), HIdentity(m, 4)):
+            P = P0.copy()
+            T._fold(P, lam, x)
+            assert P.tobytes() == (P0 - T.contract_m_minus_2(x) * lam).tobytes(), type(T)
 
 
 @pytest.mark.parametrize("kind", list(MeritKind))
 def test_evaluate_makes_one_pass_and_one_fused_call_per_operand(kind, monkeypatch):
     """evaluate gets T x^{m-1} and T x^m of each operand from one fused call,
-    and a dense operand from one pass; it calls no separate contraction."""
+    and a dense operand from one pass; the dense operand's pair is the
+    default one, which calls contract_m_minus_1 once.  No other contraction
+    is called."""
     passes = collections.Counter()
     calls = collections.Counter()
     one_pass = DenseSymmetricTensor._pass
@@ -670,7 +689,7 @@ def test_evaluate_makes_one_pass_and_one_fused_call_per_operand(kind, monkeypatc
     names = ("contract_m", "contract_m_minus_1", "contract_m_minus_2", "contract_m_minus_1_and_m")
     for cls in (DenseSymmetricTensor, HIdentity, ZIdentity):
         for name in names:
-            monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
     # Nonnegative entries and starts keep A x^m > 0 for the logarithmic merit.
     A = DenseSymmetricTensor(np.abs(random_symmetric(5, 4, 1).entries))
@@ -681,7 +700,9 @@ def test_evaluate_makes_one_pass_and_one_fused_call_per_operand(kind, monkeypatc
             evaluate(A, B, random_start(5, seed), kind)
             dense = [id(T) for T in (A, B) if isinstance(T, DenseSymmetricTensor)]
             assert passes == {i: 1 for i in dense}
-            assert calls == {(id(A), "contract_m_minus_1_and_m"): 1, (id(B), "contract_m_minus_1_and_m"): 1}
+            want = {(id(T), "contract_m_minus_1_and_m"): 1 for T in (A, B)}
+            want.update({(i, "contract_m_minus_1"): 1 for i in dense})
+            assert calls == want
 
 
 @pytest.mark.parametrize("problem", ["rand:n=6,m=4", "rand:n=4,m=6", "ex1", "ex4:n=5"])
@@ -689,10 +710,10 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
     """Before the polish, spp and sspa pass over A once per iterate: iters + 1.
 
     They also call the fused pair of A and of B and A x^{m-2} once per
-    iterate, and no other contraction, except sspa's B x^m, which
-    b_normalize makes once to scale each new point, and B x^{m-2}, which
-    the shift forms once per iterate unless B is the sphere or the diagonal
-    identity.
+    iterate, and no other contraction, except the T x^{m-1} that a dense
+    operand's default pair calls, sspa's B x^m, which b_normalize makes once
+    to scale each new point, and B x^{m-2}, which the shift forms once per
+    iterate unless B is the sphere or the diagonal identity.
     """
     passes = []
     calls = collections.Counter()
@@ -720,7 +741,7 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
     A, B = build(parse_problem(problem))
     for cls in {type(A), type(B)}:
         for name in ("contract_m", "contract_m_minus_1", "contract_m_minus_2", "contract_m_minus_1_and_m"):
-            monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     monkeypatch.setattr(DenseSymmetricTensor, "_pass", counting_pass)
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
     converged = 0
@@ -742,6 +763,9 @@ def test_power_methods_make_one_pass_per_iterate(problem, monkeypatch):
                 }
                 if isinstance(B, (ZIdentity, HIdentity)):
                     del want["B", "contract_m_minus_2"]
+                for op, T in (("A", A), ("B", B)):
+                    if isinstance(T, DenseSymmetricTensor):
+                        want[op, "contract_m_minus_1"] = points
                 if solver is teicp.solvers.sspa:
                     want["B", "contract_m"] = points
                 assert at_polish == [(points, want)], (solver.__name__, seed)
