@@ -357,22 +357,33 @@ class ZIdentity(TensorOperator):
         sq = float(x.dot(x))
         return _power(sq, (self.order - 2) // 2) * x, _power(sq, self.order // 2)
 
+    def _terms(self, x: np.ndarray) -> tuple[float, float]:
+        """(lead, cross) with eps x^{m-2} = (lead I + cross x x') / (m - 1)."""
+        m = self.order
+        sq = float(x.dot(x))
+        return _power(sq, (m - 2) // 2), (m - 2) * (1.0 if m <= 4 else _power(sq, (m - 4) // 2))
+
     def contract_m_minus_2(self, x) -> np.ndarray:
         x = self._coerce(x)
-        m = self.order
-        if m == 2:
+        if self.order == 2:
             return np.eye(self.dim)
-        sq = float(x.dot(x))
-        lead = _power(sq, (m - 2) // 2)
-        cross = (m - 2) * (1.0 if m == 4 else _power(sq, (m - 4) // 2))
+        lead, cross = self._terms(x)
         # Built in place, with the bits of (lead I + cross x x') / (m - 1) but
         # for the sign of a zero off the diagonal; only the diagonal gets lead,
         # so the off-diagonal entries stay finite where lead alone is inf.
         M = np.multiply.outer(x, x)
         M *= cross
         M.reshape(-1)[:: self.dim + 1] += lead
-        M /= m - 1
+        M /= self.order - 1
         return M
+
+    def _fold(self, P: np.ndarray, lam: float, x: np.ndarray) -> None:
+        # lam (lead I + cross x x') / (m - 1) is taken off P term by term:
+        # the rank-1 term as one outer product, lead off the diagonal.
+        lead, cross = self._terms(x)
+        if self.order > 2:
+            P -= np.multiply.outer(x, x * (lam * cross / (self.order - 1)))
+        P.reshape(-1)[:: self.dim + 1] -= lam * lead / (self.order - 1)
 
 
 def _from_class_values(values, dim: int, order: int) -> DenseSymmetricTensor:

@@ -652,30 +652,36 @@ def test_newton_ends_faces_whose_residual_stalls(monkeypatch):
 
 
 def test_no_diagonal_identity_matrix_is_formed_in_a_solve(monkeypatch):
-    """Under the diagonal identity the shift's Hessian and the polish's Newton
-    Jacobian both take lam x^{m-2} off the diagonal of a copy of A x^{m-2}
-    (``teicp.merit._pencil``), so no solve on ex4-ex6 calls
-    ``HIdentity.contract_m_minus_2``, polishes and Newton steps included."""
-    calls = {"cm2": 0, "inv": 0}
+    """Each identity folds its own lam B x^{m-2} into the pencil (its
+    ``_fold``), and the shift folds the sphere identity into its eigenvalue,
+    so no solve on ex1-ex6 or rand:n=6,m=4 calls either identity's
+    ``contract_m_minus_2``, polishes and Newton steps included."""
+    calls = {HIdentity: 0, ZIdentity: 0, "inv": 0}
 
-    def spy_cm2(self, x, _f=HIdentity.contract_m_minus_2):
-        calls["cm2"] += 1
-        return _f(self, x)
+    def spy(cls):
+        def counted(self, x, _f=cls.contract_m_minus_2):
+            calls[cls] += 1
+            return _f(self, x)
+
+        return counted
 
     def spy_inv(*args, _f=teicp.solvers._inv, **kwargs):
         calls["inv"] += 1
         return _f(*args, **kwargs)
 
-    monkeypatch.setattr(HIdentity, "contract_m_minus_2", spy_cm2)
+    for cls in (HIdentity, ZIdentity):
+        monkeypatch.setattr(cls, "contract_m_minus_2", spy(cls))
     monkeypatch.setattr(teicp.solvers, "_inv", spy_inv)
-    for problem in ("ex4:n=5", "ex5:n=5", "ex6:n=5"):
+    kinds = set()
+    for problem in ("ex1", "ex2:n=5", "ex3", "rand:n=6,m=4", "ex4:n=5", "ex5:n=5", "ex6:n=5"):
         A, B = build(parse_problem(problem))
-        assert type(B) is HIdentity
+        kinds.add(type(B))
         for r in range(4):
             for solver in SOLVERS.values():
                 solver(A, B, random_start(A.dim, 20240 + r))
+    assert kinds == {HIdentity, ZIdentity}
     assert calls["inv"] > 0
-    assert calls["cm2"] == 0
+    assert calls[HIdentity] == calls[ZIdentity] == 0
 
 
 @pytest.mark.parametrize("r, name", [(3, "spa"), (26, "spa"), (80, "spg2"), (80, "sspa")])

@@ -665,6 +665,19 @@ def test_fold_subtracts_lam_times_the_formed_matrix(m, rng):
             assert P.tobytes() == (P0 - T.contract_m_minus_2(x) * lam).tobytes(), type(T)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_sphere_identity_fold_is_lam_times_its_matrix_taken_off(m, rng):
+    """The sphere identity folds its two terms without forming its matrix,
+    and matches P - lam Z x^{m-2} to 1e-15 of max |P|."""
+    Z = ZIdentity(m, 4)
+    for _ in range(50):
+        x, lam, P0 = rng.standard_normal(4), float(rng.standard_normal()), rng.standard_normal((4, 4))
+        P = P0.copy()
+        Z._fold(P, lam, x)
+        want = P0 - Z.contract_m_minus_2(x) * lam
+        assert np.abs(P - want).max() <= 1e-15 * np.abs(P).max()
+
+
 @pytest.mark.parametrize("kind", list(MeritKind))
 def test_evaluate_makes_one_pass_and_one_fused_call_per_operand(kind, monkeypatch):
     """evaluate gets T x^{m-1} and T x^m of each operand from one fused call,
