@@ -101,7 +101,7 @@ def _config(args) -> SolverConfig:
         max_iters=args.max_iters,
         rho=args.rho,
         tau=args.tau,
-        merit=MeritKind(args.merit),
+        merit=args.merit,
         paper_literal_safeguards=args.paper_literal_safeguards,
     )
 

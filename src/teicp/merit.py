@@ -231,6 +231,8 @@ def evaluate(A: TensorOperator, B: TensorOperator, x, kind: MeritKind = MeritKin
     at = (A, B, x, bxm, bxm1)
     if kind is MeritKind.RAYLEIGH:
         return MeritEval(lam, lam, y, at)
+    if kind is not MeritKind.LOGARITHMIC:
+        raise ValueError(f"kind must be a MeritKind, got {kind!r}")
     _log_domain(axm, bxm)
     m = A.order
     grad = m * axm1 / axm - m * bxm1 / bxm

@@ -125,6 +125,8 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        # A string such as "rayleigh" would fail every ``is`` test on the kind.
+        self.merit = MeritKind(self.merit)
         # NaN fails every comparison, so the finiteness test comes first.
         if not math.isfinite(self.tol) or self.tol <= 0:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")

@@ -985,6 +985,23 @@ def test_config_validation():
     assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
 
 
+def test_config_takes_the_merit_by_its_value(ex1):
+    """A merit given as its string is the member: "rayleigh" ran the log
+    merit (spg1 on ex1 took 7 iterations from a trace merit of -1.3856
+    where the Rayleigh run takes 6 from 0.2502), and spp rejected it."""
+    A, B = ex1
+    assert SolverConfig(merit="rayleigh").merit is MeritKind.RAYLEIGH
+    assert SolverConfig(merit="log").merit is MeritKind.LOGARITHMIC
+    with pytest.raises(ValueError, match="bogus"):
+        SolverConfig(merit="bogus")
+    for solver in (spg1, spp):
+        want = solver(A, B, np.ones(3))
+        got = solver(A, B, np.ones(3), SolverConfig(merit="rayleigh"))
+        assert (got.iters, got.pair.lam, got.trace[0].merit_value) == (want.iters, want.pair.lam, want.trace[0].merit_value)
+    with pytest.raises(ValueError, match="kind must be a MeritKind"):
+        evaluate(A, B, np.ones(3), "log")
+
+
 def test_paper_literal_safeguards_flag(ex1):
     A, B = ex1
     base = spg1(A, B, np.ones(3))
