@@ -9,6 +9,7 @@ which serves as an independent oracle for the iterative solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ def is_pareto_eigenpair(A: TensorOperator, B: TensorOperator, lam: float, x, tol
     Eigenpairs are invariant under positive scaling of x, so the candidate is
     normalized to the unit sphere before testing.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    # NaN fails every comparison and inf passes every pair, as in SolverConfig.
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x = np.asarray(x, dtype=float)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:

@@ -94,6 +94,16 @@ def test_is_pareto_eigenpair_rejects_zero_vector(diag_example):
         is_pareto_eigenpair(A, B, 0.8, np.zeros(5), 1e-8)
 
 
+def test_is_pareto_eigenpair_rejects_a_tol_that_is_not_finite_and_positive(ex1):
+    """At tol=inf every pair passed, (5, ones) on ex1 included, and at
+    tol=nan every pair failed, the certified one included."""
+    A, B = ex1
+    for bad in (math.inf, math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            is_pareto_eigenpair(A, B, 5.0, np.ones(3), bad)
+    assert not is_pareto_eigenpair(A, B, 5.0, np.ones(3), 1e-6)
+
+
 def test_spectrum_maximum_is_exact(diag_example):
     diag, A, B = diag_example
     spectrum = diagonal_pareto_spectrum(diag, 4, "z")
