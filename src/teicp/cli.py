@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = [_common_options()]
     solve = sub.add_parser("solve", parents=common,
                            help="run solvers once from a single start; print a table, or the reports with traces")
-    solve.add_argument("--x0", default=None, help="explicit start, comma-separated")
+    solve.add_argument(
+        "--x0", default=None, help="explicit start, comma-separated; write a negative first entry as --x0=-1,2,3"
+    )
     multistart = sub.add_parser("multistart", parents=common, help="run solvers over a set of seeded random starts")
     multistart.add_argument("--runs", type=int, default=100, help="number of random starts")
     return parser

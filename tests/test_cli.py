@@ -63,6 +63,21 @@ def test_solve_uncommon_start_certifies(tmp_path):
     assert is_pareto_eigenpair(A, B, rep["lambda"], np.array(rep["x"]), 1e-4)
 
 
+def test_solve_takes_a_negative_first_entry_after_an_equals_sign(capsys, tmp_path):
+    """--x0 -1,2,3 reads -1,2,3 as an option; --x0=-1,2,3 is the start,
+    whose projection is that of 0,2,3."""
+    assert main(["solve", "--problem", "ex1", "--solver", "spg1", "--x0", "-1,2,3"]) == EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err
+    reports = []
+    for x0 in (["--x0=-1,2,3"], ["--x0", "0,2,3"]):
+        out = tmp_path / "run.json"
+        code = main(["solve", "--problem", "ex1", "--solver", "spg1", *x0, "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        rep = json.loads(out.read_text())[0]
+        reports.append((rep["status"], rep["iters"], rep["lambda"], rep["x"]))
+    assert reports[0] == reports[1]
+
+
 def test_solve_unknown_problem_and_solver(capsys):
     assert main(["solve", "--problem", "ex9", "--solver", "spg1"]) == EXIT_USAGE
     assert main(["solve", "--problem", "ex1", "--solver", "nope"]) == EXIT_USAGE

@@ -997,7 +997,8 @@ def test_config_takes_the_merit_by_its_value(ex1):
     for solver in (spg1, spp):
         want = solver(A, B, np.ones(3))
         got = solver(A, B, np.ones(3), SolverConfig(merit="rayleigh"))
-        assert (got.iters, got.pair.lam, got.trace[0].merit_value) == (want.iters, want.pair.lam, want.trace[0].merit_value)
+        assert (got.iters, got.pair.lam) == (want.iters, want.pair.lam)
+        assert got.trace[0].merit_value == want.trace[0].merit_value
     with pytest.raises(ValueError, match="kind must be a MeritKind"):
         evaluate(A, B, np.ones(3), "log")
 
