@@ -201,8 +201,12 @@ def rayleigh_gradient(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
 
 
 def rayleigh_hessian(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
-    """Exact Hessian of the Rayleigh quotient (symmetric by construction)."""
-    return evaluate(A, B, x).rayleigh_hessian()
+    """Exact Hessian of the Rayleigh quotient (symmetric by construction).
+
+    x may be any sequence: the Hessian reads x as an array, which
+    :func:`evaluate` keeps as it is given.
+    """
+    return evaluate(A, B, np.asarray(x, dtype=float)).rayleigh_hessian()
 
 
 def log_value(A: TensorOperator, B: TensorOperator, x) -> float:

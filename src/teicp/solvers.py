@@ -562,11 +562,35 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         if iterates is not None:
             iterates.append(np.array(x, copy=True))
 
+    # (j, x_{j-1}, x_j) of each iterate j > 0, by lambda(x_j), for the cycle check.
+    states_at: dict[float, list[tuple]] = {}
+
+    def replay(k, x_prev, x, states):
+        """k advanced past the whole periods of a cycle that iterate k closes, else k.
+
+        ``states`` are those of the earlier iterates whose lambda iterate k
+        repeats.  Where one of them is (x_{k-1}, x_k) bit for bit, the run
+        repeats its rows j .. k-1 for ever, so each row i up to the last
+        whole period below the cap is row i - p, p = k - j, with its k
+        renumbered, and so is the kept iterate.
+        """
+        for j, xj_prev, xj in states:
+            if x.tobytes() == xj.tobytes() and x_prev.tobytes() == xj_prev.tobytes():
+                p = k - j
+                end = k + (cfg.max_iters - k) // p * p
+                for i in range(k, end):
+                    r = trace[i - p]
+                    trace.append(IterationRecord(i, r.lam, r.merit_value, r.grad_norm, r.step, r.beta, r.shift))
+                    if iterates is not None:
+                        iterates.append(iterates[i - p].copy())
+                return end
+        return k
+
     # y is homogeneous of degree m - 1 in x, so the dual residual of
     # (lam, x / ||x||) is max_i y_i / (x . x)^half.
     half = (A.order - 1) / 2
     x = project_sphere_plus(x0)
-    lam = lam_prev = kept = None
+    lam = lam_prev = x_prev = kept = None
     fields = _UNMEASURED
     k = 0
     try:
@@ -587,6 +611,11 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
                 polished = _polish(A, B, float(lam), x / _norm(x))
                 if polished[2].max_violation() <= cfg.tol:
                     status, kept = Status.CONVERGED, polished
+            if status is None and k:
+                states = states_at.setdefault(lam, [])
+                if states:
+                    k = replay(k, x_prev, x, states)
+                states.append((k, x_prev, x))
             if status is None and k >= cfg.max_iters:
                 status = Status.MAX_ITERS
             step = 0.0
@@ -597,7 +626,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             record(k, lam, fields, step, x)
             if status is not None:
                 break
-            lam_prev = lam
+            lam_prev, x_prev = lam, x
             k += 1
     except _DOMAIN_ERRORS:
         if lam is None:  # the start itself could not be evaluated

@@ -198,12 +198,13 @@ def _newton_steps():
 
 def run_set(name: str) -> tuple[list[str], str]:
     """One set's output lines, and its counts: runs, how many end ``Converged``
-    and certify, iterations, polishes, face Newton solves and their steps, and
-    for the tail set the polishes of each run."""
-    with _counting(teicp.solvers, "_polish", "_newton_face") as calls, _newton_steps() as steps:
+    and certify, iterations, the driver's evaluations, polishes, face Newton
+    solves and their steps, and for the tail set the polishes of each run."""
+    with _counting(teicp.solvers, "evaluate", "_polish", "_newton_face") as calls, _newton_steps() as steps:
         lines, counts, polishes = _run_set(name, calls)
     solves, total = calls["_newton_face"], sum(steps.values())
-    counts = f"{counts}, {calls['_polish']} polishes, {solves} face solves, {total} Newton steps"
+    counts = f"{counts}, {calls['evaluate']} evaluations, {calls['_polish']} polishes, {solves} face solves"
+    counts += f", {total} Newton steps"
     if name == "tail":
         counts += f", polishes per run {' '.join(map(str, polishes))}"
     return lines, counts

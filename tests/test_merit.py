@@ -140,6 +140,16 @@ def test_diagonal_identity_hessian_is_the_formed_ones_bit_for_bit(problem):
         assert ev.rayleigh_hessian_min_eig() == min_eig_sym(want), (problem, seed)
 
 
+@pytest.mark.parametrize("problem", ["ex1", "ex4:n=3"])
+def test_rayleigh_hessian_takes_a_list(problem):
+    """A list x gives the Hessian of the same array: it raised AttributeError
+    under the sphere identity (ex1) and TypeError under the diagonal one."""
+    A, B = build(parse_problem(problem))
+    for seed in range(3):
+        x = random_start(A.dim, seed)
+        assert rayleigh_hessian(A, B, x.tolist()).tobytes() == rayleigh_hessian(A, B, x).tobytes()
+
+
 def test_pencil_lets_the_operator_fold_its_term(rng):
     """_pencil hands a copy of A x^{m-2} to B's ``_fold`` and never forms
     B x^{m-2}; this B folds lam I into the diagonal."""

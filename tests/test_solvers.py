@@ -574,6 +574,72 @@ def test_driver_evaluates_each_point_once(problem, monkeypatch):
     assert converged >= 40, problem
 
 
+# spa on ex5:n=5 from this start enters an exact cycle: (x_28, x_29) is (x_16, x_17).
+_CYCLE_START = 20240
+
+
+def test_a_replayed_cycle_equals_the_runs_it_skips(ex5):
+    """A run capped at M reads as the first M iterations of the run capped at 500.
+
+    Below M = 29 no run has closed the cycle, and above it each run replays
+    its own whole periods and computes its last ones, so the 500-capped
+    run's replayed rows are checked against rows that other runs computed.
+    The cap row differs from the longer run's row in its step alone, as a
+    run takes no step at its cap.
+    """
+    A, B = ex5
+    x0 = random_start(5, _CYCLE_START)
+    full = spa(A, B, x0, SolverConfig(keep_iterates=True))
+    assert full.status is Status.MAX_ITERS and full.iters == 500
+    assert full.iterates[29].tobytes() == full.iterates[17].tobytes()
+    assert full.iterates[28].tobytes() == full.iterates[16].tobytes()
+    for cap in range(1, 121):
+        rep = spa(A, B, x0, SolverConfig(max_iters=cap, keep_iterates=True))
+        assert (rep.status, rep.iters, len(rep.trace)) == (Status.MAX_ITERS, cap, cap + 1), cap
+        assert rep.trace[:cap] == full.trace[:cap], cap
+        assert rep.trace[cap] == dataclasses.replace(full.trace[cap], step=0.0), cap
+        assert [x.tobytes() for x in rep.iterates] == [x.tobytes() for x in full.iterates[: cap + 1]], cap
+        x_cap = full.iterates[cap]
+        assert rep.pair.x.tobytes() == (x_cap / np.sqrt(x_cap.dot(x_cap))).tobytes(), cap
+        assert rep.pair.lam == full.trace[cap].lam, cap
+
+
+def test_a_replayed_cycle_skips_its_evaluations(ex5, monkeypatch):
+    """The 500-capped run of the cycle above evaluates its first 29 iterates,
+    the last iterations below the cap and no replayed one."""
+    calls = []
+    evaluate = teicp.solvers.evaluate
+
+    def counting_evaluate(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(teicp.solvers, "evaluate", counting_evaluate)
+    A, B = ex5
+    rep = spa(A, B, random_start(5, _CYCLE_START))
+    assert rep.status is Status.MAX_ITERS
+    assert (rep.iters, len(rep.trace)) == (500, 501)
+    assert len(calls) < 150
+
+
+def test_a_cycling_run_stops_polishing_at_the_cycle(ex1, monkeypatch):
+    """spg1 on ex1 times 1e12 from ones cycles through candidate stops that
+    do not certify; it polished 476 times before the replay, and now only
+    within the cycle's first period and its last iterations."""
+    polishes = []
+    polish = teicp.solvers._polish
+
+    def counting_polish(*args):
+        polishes.append(1)
+        return polish(*args)
+
+    monkeypatch.setattr(teicp.solvers, "_polish", counting_polish)
+    A, B = ex1
+    rep = spg1(DenseSymmetricTensor(A.entries * 1e12), B, np.ones(3))
+    assert (rep.status, rep.iters) == (Status.MAX_ITERS, 500)
+    assert 0 < len(polishes) <= 20
+
+
 # Faces that two support cuts share: spg1 on ex3 from this start stops where
 # the 1e-2 and 0.1 cuts both give {0}, and the polish goes on to the 0 cut.
 _REPEATED_FACE_START = 20249
