@@ -545,6 +545,19 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     NaN merit fields.  A Converged report keeps the certified pair and its
     residual triple; any other report keeps the unit endpoint and its
     residual.
+
+    A run that comes back to an exact state is fast-forwarded.  The rule's
+    state after measuring x_k is a function of (x_{k-1}, x_k) alone, and so
+    are lam_prev, the stop test and the polish; a new rule must keep that
+    invariant.  So where (x_{k-1}, x_k) equals an earlier (x_{j-1}, x_j),
+    j > 0, bit for bit (j = 0 is left out: the SPG rule's first measure has
+    no memory), the run repeats iterations j .. k-1, none of which stopped,
+    until the cap.  ``replay`` below copies their rows and iterates for every
+    whole period below the cap, and the loop computes the rest, the cap row
+    and the reported pair included.  So every report is the one the full
+    run gives, ``wall_time`` aside, and a MaxIters report's ``iters`` and
+    trace include the replayed periods.  The check costs one dict lookup
+    per iteration, keyed on lambda; a cycle it misses costs only time.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -572,7 +585,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         repeats.  Where one of them is (x_{k-1}, x_k) bit for bit, the run
         repeats its rows j .. k-1 for ever, so each row i up to the last
         whole period below the cap is row i - p, p = k - j, with its k
-        renumbered, and so is the kept iterate.
+        renumbered, and each kept iterate is a copy of iterate i - p.
         """
         for j, xj_prev, xj in states:
             if x.tobytes() == xj.tobytes() and x_prev.tobytes() == xj_prev.tobytes():

@@ -37,9 +37,12 @@ The tail set has the 23 runs that polish most, which the other two sets
 almost never reach: spg1 on rand:n=16,m=4,seed=S from ``random_start(16, S)``
 for eight ``cli-fresh`` ops S (seven of them polish 112 to 420 times), and
 all five solvers from ones on ex1 with its class values times 1e-8, 4 and
-1e12 (at 1e12 no polish certifies and every run ends ``MaxIters``), all
-under the Rayleigh config.  Its counts also list the polishes of each run,
-since one run can hold a change's whole effect on the polish.
+1e12 (at 1e12 no polish certifies and every run ends ``MaxIters``; spg1,
+spg2 and spp enter exact cycles there, so they polish 6, 10 and 14 times,
+where they polished 476, 486 and 455 times before the driver replayed
+cycles, sspa 12 times and spa never), all under the Rayleigh config.
+Its counts also list the polishes of each run, since one run can hold a
+change's whole effect on the polish.
 ``test_tail_reports`` checks its lines against ``tail.txt`` bit for bit.
 ``--record`` re-records ``golden.txt`` and ``tail.txt`` and prints how each
 changed, which is for intended and explained changes only.
@@ -51,14 +54,16 @@ that order; a run that raises prints the exception's type in place of the
 report.  Each set's run count goes to stderr, with how many runs end
 ``Converged`` and how many of those certify (max violation of the residual
 triple within their config's ``tol``), the iterations of all its reports,
-how many times the driver polished
-(``_polish`` calls), how many face Newton solves those polishes made
-(``_newton_face`` calls) and how many Newton steps those solves took (calls
-of the inverse that each step makes), so stdout stays comparable.
+how many points the driver evaluated (``evaluate`` calls, one per computed
+iterate, so a replayed cycle shows as fewer evaluations at equal
+iterations), how many times it polished (``_polish`` calls), how many face
+Newton solves those polishes made (``_newton_face`` calls) and how many
+Newton steps those solves took (calls of the inverse that each step
+makes), so stdout stays comparable.
 Pytest does not collect this file: its name does not start with ``test_``.
 The three sets take about 10 s on a 2-core x86-64 VM (numpy 2.4, one BLAS
-thread; 9.3-10.3 s in two runs), the golden set under 0.5 s of it and the
-tail set about 1.6 s.
+thread; 10.3 s in one run), the golden set about 0.2 s of it, the corpus
+set 7.2 s and the tail set 1.2 s.
 """
 
 from __future__ import annotations
