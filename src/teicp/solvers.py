@@ -581,10 +581,9 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     def replay(k, x_prev, x, states):
         """k advanced past the whole periods of a cycle that iterate k closes, else k.
 
-        ``states`` are those of the earlier iterates whose lambda iterate k
-        repeats.  Where one of them is (x_{k-1}, x_k) bit for bit, the run
-        repeats its rows j .. k-1 for ever, so each row i up to the last
-        whole period below the cap is row i - p, p = k - j, with its k
+        ``states`` are the earlier states with iterate k's lambda.  Where
+        one is (x_{k-1}, x_k) bit for bit, each row i up to the last whole
+        period below the cap is row i - p, p = k - j, with its k
         renumbered, and each kept iterate is a copy of iterate i - p.
         """
         for j, xj_prev, xj in states:
