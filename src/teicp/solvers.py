@@ -546,18 +546,21 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     residual triple; any other report keeps the unit endpoint and its
     residual.
 
-    A run that comes back to an exact state is fast-forwarded.  The rule's
-    state after measuring x_k is a function of (x_{k-1}, x_k) alone, and so
-    are lam_prev, the stop test and the polish; a new rule must keep that
-    invariant.  So where (x_{k-1}, x_k) equals an earlier (x_{j-1}, x_j),
-    j > 0, bit for bit (j = 0 is left out: the SPG rule's first measure has
-    no memory), the run repeats iterations j .. k-1, none of which stopped,
-    until the cap.  ``replay`` below copies their rows and iterates for every
-    whole period below the cap, and the loop computes the rest, the cap row
-    and the reported pair included.  So every report is the one the full
-    run gives, ``wall_time`` aside, and a MaxIters report's ``iters`` and
-    trace include the replayed periods.  The check costs one dict lookup
-    per iteration, keyed on lambda; a cycle it misses costs only time.
+    A run that comes back to an exact state is fast-forwarded.  The driver's
+    state at iterate k is the pair (x_{k-1}, x_k): the rule's state after
+    measuring x_k is a function of it alone, and so are lam_prev, the stop
+    test and the polish.  A new rule must keep that invariant, and any state
+    a later change gives the driver must join the key below.  Once the stop
+    test has failed at k > 0, ``seen`` maps the bytes of x_{k-1} followed by
+    x_k to k (j = 0 is left out: the SPG rule's first measure has no memory).
+    Where the key was seen at j < k, the run repeats iterations j .. k-1,
+    none of which stopped, until the cap.  So the driver appends their rows,
+    with their k renumbered, and their iterates for every whole period below
+    the cap, and the loop computes the rest, the cap row and the reported
+    pair included.  Every report is the one the full run gives,
+    ``wall_time`` aside, and a MaxIters report's ``iters`` and trace include
+    the replayed periods.  Every stop leaves the loop, and the run's last
+    row is recorded after it.
     """
     cfg = cfg or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -575,29 +578,7 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         if iterates is not None:
             iterates.append(np.array(x, copy=True))
 
-    # (j, x_{j-1}, x_j) of each iterate j > 0, by lambda(x_j), for the cycle check.
-    states_at: dict[float, list[tuple]] = {}
-
-    def replay(k, x_prev, x, states):
-        """k advanced past the whole periods of a cycle that iterate k closes, else k.
-
-        ``states`` are the earlier states with iterate k's lambda.  Where
-        one is (x_{k-1}, x_k) bit for bit, each row i up to the last whole
-        period below the cap is row i - p, p = k - j, with its k
-        renumbered, and each kept iterate is a copy of iterate i - p.
-        """
-        for j, xj_prev, xj in states:
-            if x.tobytes() == xj.tobytes() and x_prev.tobytes() == xj_prev.tobytes():
-                p = k - j
-                end = k + (cfg.max_iters - k) // p * p
-                for i in range(k, end):
-                    r = trace[i - p]
-                    trace.append(IterationRecord(i, r.lam, r.merit_value, r.grad_norm, r.step, r.beta, r.shift))
-                    if iterates is not None:
-                        iterates.append(iterates[i - p].copy())
-                return end
-        return k
-
+    seen: dict[bytes, int] = {}
     # y is homogeneous of degree m - 1 in x, so the dual residual of
     # (lam, x / ||x||) is max_i y_i / (x . x)^half.
     half = (A.order - 1) / 2
@@ -616,35 +597,38 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             # certification goes through ResidualTriple.max_violation, which
             # never certifies NaN.
             stationary = max(ev.y.tolist()) <= cfg.tol * float(x.dot(x)) ** half
-            status = None
             if stationary or (lam_prev is not None and abs(lam - lam_prev) <= cfg.tol):
                 # Neither test proves the pair is an eigenpair: stop only if
                 # the polished pair certifies, else go on.
                 polished = _polish(A, B, float(lam), x / _norm(x))
                 if polished[2].max_violation() <= cfg.tol:
-                    status, kept = Status.CONVERGED, polished
-            if status is None and k:
-                states = states_at.setdefault(lam, [])
-                if states:
-                    k = replay(k, x_prev, x, states)
-                states.append((k, x_prev, x))
-            if status is None and k >= cfg.max_iters:
-                status = Status.MAX_ITERS
-            step = 0.0
-            if status is None:
-                x_new, step, status = rule.step(x)
-            if status is None:
-                ev = evaluate(A, B, x_new, cfg.merit)
-            record(k, lam, fields, step, x)
+                    status, step, kept = Status.CONVERGED, 0.0, polished
+                    break
+            if k:
+                j = seen.setdefault(x_prev.tobytes() + x.tobytes(), k)
+                if j < k:  # iterations j .. k-1 repeat: copy their whole periods below the cap
+                    p = k - j
+                    for i in range(k, k + (cfg.max_iters - k) // p * p):
+                        r = trace[i - p]
+                        trace.append(IterationRecord(i, r.lam, r.merit_value, r.grad_norm, r.step, r.beta, r.shift))
+                        if iterates is not None:
+                            iterates.append(iterates[i - p].copy())
+                    k = len(trace)
+            if k >= cfg.max_iters:
+                status, step = Status.MAX_ITERS, 0.0
+                break
+            x_new, step, status = rule.step(x)
             if status is not None:
                 break
+            ev = evaluate(A, B, x_new, cfg.merit)
+            record(k, lam, fields, step, x)
             lam_prev, x_prev = lam, x
             k += 1
     except _DOMAIN_ERRORS:
         if lam is None:  # the start itself could not be evaluated
             lam = _safe_lambda(A, B, x)
-        status = Status.DOMAIN_ERROR
-        record(k, lam, fields, 0.0, x)
+        status, step = Status.DOMAIN_ERROR, 0.0
+    record(k, lam, fields, step, x)
     if kept is None:
         x = x / _norm(x)
         lam = float(lam)

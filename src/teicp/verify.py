@@ -42,12 +42,18 @@ class ResidualTriple:
 
 
 def residual(A: TensorOperator, B: TensorOperator, lam: float, x) -> ResidualTriple:
-    """Violation measures for (lambda, x) against the complementarity system."""
+    """Violation measures for (lambda, x) against the complementarity system.
+
+    primal is NaN where x holds a NaN and dual where w does, so neither
+    reads as satisfied.
+    """
     x = np.asarray(x, dtype=float)
     w = lam * B.contract_m_minus_1(x) - A.contract_m_minus_1(x)
+    primal, dual = -float(x.min()), -float(w.min())
+    # max(0.0, v) is 0.0 for a NaN v: keep the NaN, as comp does.
     return ResidualTriple(
-        primal=max(0.0, -float(x.min())),
-        dual=max(0.0, -float(w.min())),
+        primal=primal if not primal <= 0.0 else 0.0,
+        dual=dual if not dual <= 0.0 else 0.0,
         comp=abs(float(x @ w)),
     )
 

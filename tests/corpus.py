@@ -8,7 +8,10 @@ A refactor must keep every report bit-identical, or explain each change in
 exports that revision's ``src`` with ``git archive`` into a temporary
 directory next to a copy of this tree's ``tests/*.py``, runs the three sets
 below on both trees at once (one BLAS thread each), prints each tree's run
-counts, and then per set "identical", or else the ``--compare`` summary.
+counts and the code lines of each ``src/teicp`` module (``code_lines``:
+docstrings, comments and blank lines left out), and then per set
+"identical", or else the ``--compare`` summary.  So a refactor's size claim
+comes from the same command as its identity claim.
 ``python tests/corpus.py > out.txt`` prints the three sets, each after a
 ``# golden``, ``# corpus`` or ``# tail`` line, and ``--compare old.txt new.txt``
 summarizes two such outputs per set: whether the entries and packed-matrix
@@ -69,15 +72,18 @@ set 7.2 s and the tail set 1.2 s.
 from __future__ import annotations
 
 import argparse
+import ast
 import collections
 import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -326,6 +332,28 @@ def export_src(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
+def code_lines(path: Path) -> int:
+    """The lines of a Python file that hold code: docstrings, comments and blank lines left out."""
+    text = path.read_text(encoding="utf-8")
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def code_line_counts(src: Path) -> str:
+    """Each ``teicp`` module's code lines under ``src``, and their total, on one line."""
+    counts = {path.name: code_lines(path) for path in sorted((src / "teicp").glob("*.py"))}
+    return ", ".join(f"{name} {count}" for name, count in counts.items()) + f", total {sum(counts.values())}"
+
+
 def against(rev: str) -> int:
     """Run every set on ``rev``'s ``src`` and on this tree's; print how they compare."""
     script = Path(__file__).resolve()
@@ -350,6 +378,8 @@ def against(rev: str) -> int:
                 print(f"{name}: corpus failed with exit code {proc.returncode}\n{errs[name]}", file=sys.stderr)
                 return 1
             print("\n".join(f"{name} {line}" for line in errs[name].splitlines()))
+        for name, src in ((rev, tmp / "src"), ("this tree", ROOT / "src")):
+            print(f"{name} code lines: {code_line_counts(src)}")
         old, new = (path.read_text(encoding="utf-8") for path in outs.values())
     print("\n".join(compare_outputs(old, new)))
     return 0

@@ -7,7 +7,7 @@ import pytest
 import teicp.merit
 import teicp.solvers
 
-from corpus import GOLDEN, TAIL, compare, compare_outputs, gate_cases, run_set
+from corpus import GOLDEN, TAIL, code_lines, compare, compare_outputs, gate_cases, run_set
 from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect, three_term_rayleigh_hessian
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
 from teicp.merit import MeritKind, evaluate, rayleigh_gradient
@@ -356,7 +356,9 @@ def test_every_solver_reports_a_point_it_cannot_evaluate(name):
     """A step to where B x^m = 0 ends every solver with DomainError at k = 0.
 
     From [1, 1], spp's power step lands on e2, a line-search trial of spg1
-    and spg2 reaches e2, and spa's and sspa's steps cannot be rescaled.
+    and spg2 reaches e2, and spa's and sspa's steps cannot be rescaled.  A
+    failed step keeps the length it tried, and a point the driver cannot
+    evaluate leaves step 0.
     """
     A = diagonal_tensor([0.0, 1.0], 4)
     B = diagonal_tensor([1.0, 0.0], 4)
@@ -364,6 +366,8 @@ def test_every_solver_reports_a_point_it_cannot_evaluate(name):
     assert rep.status is Status.DOMAIN_ERROR
     assert rep.iters == 0 and len(rep.trace) == 1
     assert rep.pair.lam == 1.0 and rep.trace[0].lam == 1.0
+    step = {"spa": math.sqrt(2), "sspa": 1.4352460120972164}.get(name, 0.0)
+    assert rep.trace[0].step == pytest.approx(step, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])
@@ -784,12 +788,12 @@ def test_solvers_reject_non_finite_x0(name, ex1):
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_start_where_b_form_vanishes_ends_domain_error(name, ex1):
-    """B x^m = 0 at the start: lambda is NaN, in the report and in its one trace row."""
+    """B x^m = 0 at the start: lambda is NaN, in the report, in its one trace row and in w."""
     A, _ = ex1
     rep = SOLVERS[name](A, DenseSymmetricTensor(np.zeros((3,) * 4)), np.ones(3))
     assert rep.status is Status.DOMAIN_ERROR and rep.iters == 0 and len(rep.trace) == 1
     assert math.isnan(rep.pair.lam) and math.isnan(rep.trace[0].lam)
-    assert math.isnan(rep.residual.max_violation())
+    assert math.isnan(rep.residual.max_violation()) and math.isnan(rep.residual.dual)
 
 
 @pytest.mark.parametrize("problem, lam", [("rand:n=4,m=2,seed=1", 0.433385), ("rand:n=6,m=2,seed=3", 1.059668)])
@@ -1141,3 +1145,32 @@ def test_corpus_compare_lists_runs_in_one_output_and_no_lambda_change():
     assert compare_outputs(*outputs) == ["golden:", *("  " + line for line in compare(old, new))]
     with pytest.raises(ValueError, match="comes before a '# set' line"):
         compare_outputs("\n".join(old), outputs[1])
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    """Only lines with code count; a string that is not a docstring is code."""
+    path = tmp_path / "m.py"
+    path.write_text('''"""Module
+docstring."""
+
+import os  # a comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function
+        docstring.
+        """
+        # a comment line
+        return os.path.join(
+            x, "y"
+        )
+
+
+TEXT = """not
+a docstring"""
+''', encoding="utf-8")
+    # import, class, def, the three lines of the call, and the two of TEXT
+    assert code_lines(path) == 8
