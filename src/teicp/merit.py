@@ -112,9 +112,11 @@ class MeritEval:
         w = (m (m-2) lam / (2 q^2)) x + (m s / q) y.  Under any other B,
         alpha = 0 and G = H.  No B x^{m-2} matrix is formed under either
         identity.  The rank-2 term is added as r + r', so G is exactly
-        symmetric wherever A x^{m-2} is.
+        symmetric wherever A x^{m-2} is.  x is read as a float array, since
+        :func:`evaluate` keeps the point as it is given.
         """
         A, B, x, bxm, bxm1 = self._at
+        x = np.asarray(x, dtype=float)
         m = A.order
         s = m / bxm
         if type(B) is ZIdentity:
@@ -201,12 +203,8 @@ def rayleigh_gradient(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
 
 
 def rayleigh_hessian(A: TensorOperator, B: TensorOperator, x) -> np.ndarray:
-    """Exact Hessian of the Rayleigh quotient (symmetric by construction).
-
-    x may be any sequence: the Hessian reads x as an array, which
-    :func:`evaluate` keeps as it is given.
-    """
-    return evaluate(A, B, np.asarray(x, dtype=float)).rayleigh_hessian()
+    """Exact Hessian of the Rayleigh quotient (symmetric by construction); x may be any sequence."""
+    return evaluate(A, B, x).rayleigh_hessian()
 
 
 def log_value(A: TensorOperator, B: TensorOperator, x) -> float:

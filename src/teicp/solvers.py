@@ -113,7 +113,6 @@ class SolverConfig:
     from the gradient norm g (its trial step IS beta, so the band acts as a
     trust region and caps ||beta g|| at max(1, g^2)).
     ``paper_literal_safeguards`` gives spg1 the band too.
-    ``keep_iterates`` stores a copy of every iterate on the report.
     """
 
     tol: float = 1e-6
@@ -122,7 +121,6 @@ class SolverConfig:
     tau: float = 0.05
     merit: MeritKind = MeritKind.RAYLEIGH
     paper_literal_safeguards: bool = False
-    keep_iterates: bool = False
 
     def __post_init__(self):
         # A string such as "rayleigh" would fail every ``is`` test on the kind.
@@ -134,8 +132,9 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not math.isfinite(self.tau) or self.tau <= 0:
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        # The driver's cap test is k >= max_iters, which inf and NaN never meet.
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        # The driver's cap test is k >= max_iters, which inf and NaN never
+        # meet; a bool is an Integral, but True is no iteration count.
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
@@ -168,7 +167,6 @@ class SolverReport:
     residual: ResidualTriple
     trace: list[IterationRecord]
     wall_time: float
-    iterates: list[np.ndarray] | None = None
 
 
 def _bb_clamped(s: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
@@ -555,11 +553,10 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     x_k to k (j = 0 is left out: the SPG rule's first measure has no memory).
     Where the key was seen at j < k, the run repeats iterations j .. k-1,
     none of which stopped, until the cap.  So the driver appends their rows,
-    with their k renumbered, and their iterates for every whole period below
-    the cap, and the loop computes the rest, the cap row and the reported
-    pair included.  Every report is the one the full run gives,
-    ``wall_time`` aside, and a MaxIters report's ``iters`` and trace include
-    the replayed periods.  Every stop leaves the loop, and the run's last
+    with their k renumbered, for every whole period below the cap, and the
+    loop computes the rest, the cap row and the reported pair included.
+    Every report is the one the full run gives, ``wall_time`` aside, and a
+    MaxIters report's ``iters`` and trace include the replayed periods.  Every stop leaves the loop, and the run's last
     row is recorded after it.
     """
     cfg = cfg or SolverConfig()
@@ -568,15 +565,12 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
     rule = rule_type(A, B, cfg, **flags)
     t0 = time.perf_counter()
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] | None = [] if cfg.keep_iterates else None
 
-    def record(k, lam, fields, step, x):
+    def record(k, lam, fields, step):
         # Every value here is a Python float already: the rules, evaluate and
         # _safe_lambda make them with float() or math functions.
         merit_value, grad_norm, beta, shift = fields
         trace.append(IterationRecord(k, lam, merit_value, grad_norm, step, beta, shift))
-        if iterates is not None:
-            iterates.append(np.array(x, copy=True))
 
     seen: dict[bytes, int] = {}
     # y is homogeneous of degree m - 1 in x, so the dual residual of
@@ -611,8 +605,6 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
                     for i in range(k, k + (cfg.max_iters - k) // p * p):
                         r = trace[i - p]
                         trace.append(IterationRecord(i, r.lam, r.merit_value, r.grad_norm, r.step, r.beta, r.shift))
-                        if iterates is not None:
-                            iterates.append(iterates[i - p].copy())
                     k = len(trace)
             if k >= cfg.max_iters:
                 status, step = Status.MAX_ITERS, 0.0
@@ -621,14 +613,14 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
             if status is not None:
                 break
             ev = evaluate(A, B, x_new, cfg.merit)
-            record(k, lam, fields, step, x)
+            record(k, lam, fields, step)
             lam_prev, x_prev = lam, x
             k += 1
     except _DOMAIN_ERRORS:
         if lam is None:  # the start itself could not be evaluated
             lam = _safe_lambda(A, B, x)
         status, step = Status.DOMAIN_ERROR, 0.0
-    record(k, lam, fields, step, x)
+    record(k, lam, fields, step)
     if kept is None:
         x = x / _norm(x)
         lam = float(lam)
@@ -641,7 +633,6 @@ def _drive(A, B, x0, cfg: SolverConfig | None, rule_type, **flags) -> SolverRepo
         residual=res,
         trace=trace,
         wall_time=time.perf_counter() - t0,
-        iterates=iterates,
     )
 
 

@@ -429,15 +429,11 @@ def symmetrize(raw) -> DenseSymmetricTensor:
         np.maximum.at(top, ids, flat)
         np.minimum.at(bottom, ids, flat)
     values = np.where(top == bottom, flat[first], sums / sizes)
-    try:
-        return _from_class_values(values, arr.shape[0], arr.ndim)
-    except ValueError:
-        # Only a failed build gets here.  Where every class's extremes, and
-        # so every entry, are finite, a non-finite class value is an
-        # overflowed sum.
-        if np.isfinite(top).all() and np.isfinite(bottom).all() and not np.isfinite(values).all():
-            raise ValueError("a class sum overflows") from None
-        raise
+    # Where every class's extremes, and so every entry, are finite, a
+    # non-finite class value is an overflowed sum.
+    if not np.isfinite(values).all() and np.isfinite(top).all() and np.isfinite(bottom).all():
+        raise ValueError("a class sum overflows")
+    return _from_class_values(values, arr.shape[0], arr.ndim)
 
 
 def diagonal_tensor(values, order: int) -> DenseSymmetricTensor:

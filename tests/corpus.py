@@ -50,16 +50,20 @@ change's whole effect on the polish.
 ``--record`` re-records ``golden.txt`` and ``tail.txt`` and prints how each
 changed, which is for intended and explained changes only.
 
-Every run keeps its iterates.  Its line is the case key (problem, start,
-solver, config), the status, the iteration count, ``lam.hex()`` and one
-sha256 digest of x, the residual triple, the trace rows and the iterates, in
-that order; a run that raises prints the exception's type in place of the
-report.  Each set's run count goes to stderr, with how many runs end
-``Converged`` and how many of those certify (max violation of the residual
-triple within their config's ``tol``), the iterations of all its reports,
-how many points the driver evaluated (``evaluate`` calls, one per computed
-iterate, so a replayed cycle shows as fewer evaluations at equal
-iterations), how many times it polished (``_polish`` calls), how many face
+A run's line is the case key (problem, start, solver, config), the status,
+the iteration count, ``lam.hex()`` and one sha256 digest of x, the residual
+triple, the trace rows and the points the driver evaluated, in that order
+(``helpers.evaluated_points`` records those points: every iterate the run
+computed, and no iterate of a replayed cycle); a run that raises prints the
+exception's type in place of the report.  Each set's run count goes to
+stderr, with how many runs end ``Converged`` and how many of those certify
+(max violation of the residual triple within their config's ``tol``), the
+iterations of all its reports, how many points the driver evaluated
+(``evaluate`` calls, one per computed iterate, so a replayed cycle shows as
+fewer evaluations at equal iterations), how many tensor passes the dense
+tensors made (``DenseSymmetricTensor._pass`` calls, which a contraction at
+the tensor's last point does not make, so the count does not depend on the
+machine), how many times it polished (``_polish`` calls), how many face
 Newton solves those polishes made (``_newton_face`` calls) and how many
 Newton steps those solves took (calls of the inverse that each step
 makes), so stdout stays comparable.
@@ -92,11 +96,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import teicp.solvers  # noqa: E402
-from helpers import lam_change  # noqa: E402
+from helpers import evaluated_points, lam_change  # noqa: E402
 from teicp.merit import MeritKind  # noqa: E402
 from teicp.problems import build, parse_problem, random_start  # noqa: E402
 from teicp.solvers import SOLVERS, SolverConfig, Status  # noqa: E402
-from teicp.tensor import HIdentity, _from_class_values, diagonal_tensor  # noqa: E402
+from teicp.tensor import DenseSymmetricTensor, HIdentity, _from_class_values, diagonal_tensor  # noqa: E402
 from test_acceptance import STARTS  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.txt")
@@ -108,10 +112,10 @@ PROBLEMS = (
     + [(p, 12) for p in ("rand:n=6,m=4", "rand:n=4,m=6")]
 )
 CONFIGS = {
-    "rayleigh": (SolverConfig(keep_iterates=True), tuple(SOLVERS)),
-    "log": (SolverConfig(merit=MeritKind.LOGARITHMIC, keep_iterates=True), ("spg1", "spg2")),
-    "literal": (SolverConfig(paper_literal_safeguards=True, keep_iterates=True), ("spg1", "spg2")),
-    "max_iters=3": (SolverConfig(max_iters=3, keep_iterates=True), tuple(SOLVERS)),
+    "rayleigh": (SolverConfig(), tuple(SOLVERS)),
+    "log": (SolverConfig(merit=MeritKind.LOGARITHMIC), ("spg1", "spg2")),
+    "literal": (SolverConfig(paper_literal_safeguards=True), ("spg1", "spg2")),
+    "max_iters=3": (SolverConfig(max_iters=3), tuple(SOLVERS)),
 }
 
 
@@ -169,9 +173,10 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def report_line(rep) -> str:
+def report_line(rep, points) -> str:
+    """A run's line after its case key, from its report and the points its driver evaluated."""
     r = rep.residual
-    parts = [rep.pair.x, [r.primal, r.dual, r.comp], *map(dataclasses.astuple, rep.trace), *rep.iterates]
+    parts = [rep.pair.x, [r.primal, r.dual, r.comp], *map(dataclasses.astuple, rep.trace), *points]
     return f"{rep.status.value} {rep.iters} {rep.pair.lam.hex()} {_digest(parts)}"
 
 
@@ -209,12 +214,17 @@ def _newton_steps():
 
 def run_set(name: str) -> tuple[list[str], str]:
     """One set's output lines, and its counts: runs, how many end ``Converged``
-    and certify, iterations, the driver's evaluations, polishes, face Newton
-    solves and their steps, and for the tail set the polishes of each run."""
-    with _counting(teicp.solvers, "evaluate", "_polish", "_newton_face") as calls, _newton_steps() as steps:
+    and certify, iterations, the driver's evaluations, tensor passes,
+    polishes, face Newton solves and their steps, and for the tail set the
+    polishes of each run."""
+    with (
+        _counting(teicp.solvers, "_polish", "_newton_face") as calls,
+        _counting(DenseSymmetricTensor, "_pass") as passes,
+        _newton_steps() as steps,
+    ):
         lines, counts, polishes = _run_set(name, calls)
     solves, total = calls["_newton_face"], sum(steps.values())
-    counts = f"{counts}, {calls['evaluate']} evaluations, {calls['_polish']} polishes, {solves} face solves"
+    counts += f", {passes['_pass']} tensor passes, {calls['_polish']} polishes, {solves} face solves"
     counts += f", {total} Newton steps"
     if name == "tail":
         counts += f", polishes per run {' '.join(map(str, polishes))}"
@@ -223,7 +233,7 @@ def run_set(name: str) -> tuple[list[str], str]:
 
 def _run_set(name: str, calls: dict) -> tuple[list[str], str, list[int]]:
     problems, configs = SETS[name]
-    lines, runs, converged, certified, iters, polishes = [], 0, 0, 0, 0, []
+    lines, runs, converged, certified, iters, evaluations, polishes = [], 0, 0, 0, 0, 0, []
     for problem, (A, B), starts, *only in problems():
         if name == "corpus":  # golden.txt holds runs only
             for kind, array in (("entries", A.entries), ("packed", A._packed)):
@@ -234,19 +244,22 @@ def _run_set(name: str, calls: dict) -> tuple[list[str], str, list[int]]:
                 for solver in only[0] if only else solvers:
                     before = calls["_polish"]
                     try:
-                        rep = SOLVERS[solver](A, B, x0, cfg)
+                        with evaluated_points() as points:
+                            rep = SOLVERS[solver](A, B, x0, cfg)
                     except Exception as exc:  # a raise is a result to compare too
                         line = f"raises {type(exc).__name__}"
                     else:
-                        line = report_line(rep)
+                        line = report_line(rep, points)
                         iters += rep.iters
                         if rep.status is Status.CONVERGED:
                             converged += 1
                             certified += rep.residual.max_violation() <= cfg.tol
                     lines.append(f"{problem} x0#{i} {solver} {config} {line}")
+                    evaluations += len(points)
                     polishes.append(calls["_polish"] - before)
                     runs += 1
     counts = f"{runs} runs, {converged} Converged, {certified} of them certified, {iters} iterations"
+    counts += f", {evaluations} evaluations"
     return lines, counts, polishes
 
 

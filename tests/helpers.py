@@ -7,12 +7,14 @@ and projections are checked against sampling.  Property functions assert interna
 acceptance suite.
 """
 
+import contextlib
 import functools
 import itertools
 import math
 
 import numpy as np
 
+import teicp.solvers
 from teicp import (
     HIdentity,
     SolverConfig,
@@ -48,6 +50,29 @@ def dense_contract(entries, x, times):
         else:
             out += w
     return out
+
+
+@contextlib.contextmanager
+def evaluated_points():
+    """Copies of the points the solvers' driver evaluates within the block, in order.
+
+    The driver evaluates each iterate it computes, and nothing else, through
+    ``teicp.solvers.evaluate``.  A point is recorded before its evaluation,
+    so one that raises is recorded too.  A cycle that the driver replays
+    copies iterates it evaluated before, so none of them is recorded again.
+    """
+    points = []
+    evaluate = teicp.solvers.evaluate
+
+    def spy(A, B, x, *args):
+        points.append(np.array(x, copy=True))
+        return evaluate(A, B, x, *args)
+
+    teicp.solvers.evaluate = spy
+    try:
+        yield points
+    finally:
+        teicp.solvers.evaluate = evaluate
 
 
 def lam_change(old_hex: str, new_hex: str) -> float:

@@ -142,12 +142,17 @@ def test_diagonal_identity_hessian_is_the_formed_ones_bit_for_bit(problem):
 
 @pytest.mark.parametrize("problem", ["ex1", "ex4:n=3"])
 def test_rayleigh_hessian_takes_a_list(problem):
-    """A list x gives the Hessian of the same array: it raised AttributeError
-    under the sphere identity (ex1) and TypeError under the diagonal one."""
+    """A list x gives the Hessian of the same array, through the public function
+    and through both Hessian methods of ``evaluate``'s record: each raised
+    AttributeError under the sphere identity (ex1) and TypeError under the
+    diagonal one."""
     A, B = build(parse_problem(problem))
     for seed in range(3):
         x = random_start(A.dim, seed)
         assert rayleigh_hessian(A, B, x.tolist()).tobytes() == rayleigh_hessian(A, B, x).tobytes()
+        got, want = evaluate(A, B, x.tolist()), evaluate(A, B, x)
+        assert got.rayleigh_hessian().tobytes() == want.rayleigh_hessian().tobytes()
+        assert got.rayleigh_hessian_min_eig() == want.rayleigh_hessian_min_eig()
 
 
 def test_pencil_lets_the_operator_fold_its_term(rng):

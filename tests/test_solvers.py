@@ -8,7 +8,14 @@ import teicp.merit
 import teicp.solvers
 
 from corpus import GOLDEN, TAIL, code_lines, compare, compare_outputs, gate_cases, run_set
-from helpers import ReduceTensor, ascent_direction_check, check_lemma1, min_eig_det_bisect, three_term_rayleigh_hessian
+from helpers import (
+    ReduceTensor,
+    ascent_direction_check,
+    check_lemma1,
+    evaluated_points,
+    min_eig_det_bisect,
+    three_term_rayleigh_hessian,
+)
 from test_acceptance import MULTISTART_RUNS, MULTISTART_SEED, TABLE_MEDIANS
 from teicp.merit import MeritKind, evaluate, rayleigh_gradient
 from teicp.problems import build, parse_problem, random_start, random_symmetric
@@ -112,14 +119,15 @@ def test_power_shift_is_the_formula_at_every_iterate(problem):
     smallest eigenvalue of the three-term Rayleigh Hessian at that iterate,
     divided by m first under sspa, to rounding of the eigenvalue."""
     A, B = build(parse_problem(problem))
-    cfg = SolverConfig(keep_iterates=True)
+    cfg = SolverConfig()
     m = A.order
     shifted = 0
     for solver, scale in ((spp, 1), (sspa, m)):
         for seed in range(3):
-            rep = solver(A, B, random_start(A.dim, seed), cfg)
-            assert len(rep.iterates) == len(rep.trace)
-            for row, x in zip(rep.trace, rep.iterates):
+            with evaluated_points() as points:
+                rep = solver(A, B, random_start(A.dim, seed), cfg)
+            assert len(points) == len(rep.trace)
+            for row, x in zip(rep.trace, points):
                 H = three_term_rayleigh_hessian(A, B, x)
                 want = max(0.0, (cfg.tau - min_eig_sym(H) / scale) / m)
                 assert abs(row.shift - want) <= 1e-12 * max(np.abs(H).max(), 1.0), (solver.__name__, seed, row.k)
@@ -266,30 +274,34 @@ def test_trace_length_matches_iters(diag5, ex1):
 
 def test_monotone_ascent_and_lemma_on_trace(ex1):
     A, B = ex1
-    cfg = SolverConfig(keep_iterates=True)
     for solver in (spg1, spg2):
-        rep = solver(A, B, np.ones(3), cfg)
+        with evaluated_points() as points:
+            rep = solver(A, B, np.ones(3))
         merits = [t.merit_value for t in rep.trace]
         assert all(b >= a - 1e-12 for a, b in zip(merits, merits[1:]))
         # accepted iterates satisfy the ascent-direction guarantee
-        for t, x in zip(rep.trace[:-1], rep.iterates[:-1]):
+        assert len(points) == len(rep.trace)
+        for t, x in zip(rep.trace[:-1], points[:-1]):
             g = rayleigh_gradient(A, B, x)
             d, lhs, rhs = ascent_direction_check(x, t.beta, g)
             assert lhs >= rhs - 1e-10
 
 
 def test_iterate_feasibility(ex1, ex4):
-    cfg = SolverConfig(keep_iterates=True)
     A, B = ex1
     for solver in (spg1, spg2, spp):
-        rep = solver(A, B, np.ones(3), cfg)
-        for x in rep.iterates:
+        with evaluated_points() as points:
+            solver(A, B, np.ones(3))
+        assert points
+        for x in points:
             assert np.all(x >= 0.0)
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
     A4, B4 = ex4
     for solver in (spa, sspa):
-        rep = solver(A4, B4, np.ones(5), cfg)
-        for x in rep.iterates:
+        with evaluated_points() as points:
+            solver(A4, B4, np.ones(5))
+        assert points
+        for x in points:
             assert np.all(x >= 0.0)
             assert B4.contract_m(x) == pytest.approx(1.0, abs=1e-10)
 
@@ -548,20 +560,13 @@ def test_driver_evaluates_each_point_once(problem, monkeypatch):
     Line-search trials compute only the merit value, so spg1 and spg2 make no
     further evaluation under either merit.
     """
-    calls = []
     at_polish = []
-    evaluate = teicp.solvers.evaluate
     polish = teicp.solvers._polish
 
-    def counting_evaluate(*args):
-        calls.append(1)
-        return evaluate(*args)
-
     def spy_polish(*args):
-        at_polish.append(len(calls))
+        at_polish.append(len(points))
         return polish(*args)
 
-    monkeypatch.setattr(teicp.solvers, "evaluate", counting_evaluate)
     monkeypatch.setattr(teicp.solvers, "_polish", spy_polish)
     A, B = build(parse_problem(problem))
     runs = [(name, SolverConfig()) for name in SOLVERS]
@@ -569,9 +574,9 @@ def test_driver_evaluates_each_point_once(problem, monkeypatch):
     converged = 0
     for name, cfg in runs:
         for seed in range(10):
-            calls.clear()
             at_polish.clear()
-            rep = SOLVERS[name](A, B, random_start(A.dim, seed), cfg)
+            with evaluated_points() as points:
+                rep = SOLVERS[name](A, B, random_start(A.dim, seed), cfg)
             if rep.status is Status.CONVERGED:
                 assert at_polish == [rep.iters + 1], (name, cfg.merit, seed)
                 converged += 1
@@ -593,37 +598,38 @@ def test_a_replayed_cycle_equals_the_runs_it_skips(ex5):
     """
     A, B = ex5
     x0 = random_start(5, _CYCLE_START)
-    full = spa(A, B, x0, SolverConfig(keep_iterates=True))
+    with evaluated_points() as points:
+        full = spa(A, B, x0)
     assert full.status is Status.MAX_ITERS and full.iters == 500
-    assert full.iterates[29].tobytes() == full.iterates[17].tobytes()
-    assert full.iterates[28].tobytes() == full.iterates[16].tobytes()
+    # The run evaluates x_0 .. x_29 before it closes the cycle.
+    assert points[29].tobytes() == points[17].tobytes()
+    assert points[28].tobytes() == points[16].tobytes()
+    # x_0 .. x_120 of the uncapped run: from x_17 on, its period of 12 repeats.
+    iterates = points[:17] + [points[17 + (i - 17) % 12] for i in range(17, 121)]
     for cap in range(1, 121):
-        rep = spa(A, B, x0, SolverConfig(max_iters=cap, keep_iterates=True))
+        with evaluated_points() as points:
+            rep = spa(A, B, x0, SolverConfig(max_iters=cap))
         assert (rep.status, rep.iters, len(rep.trace)) == (Status.MAX_ITERS, cap, cap + 1), cap
         assert rep.trace[:cap] == full.trace[:cap], cap
         assert rep.trace[cap] == dataclasses.replace(full.trace[cap], step=0.0), cap
-        assert [x.tobytes() for x in rep.iterates] == [x.tobytes() for x in full.iterates[: cap + 1]], cap
-        x_cap = full.iterates[cap]
+        # Each capped run computes x_0 .. x_29, or x_0 .. x_cap below them, and ends at x_cap.
+        first = [x.tobytes() for x in iterates[: min(cap, 29) + 1]]
+        assert [x.tobytes() for x in points[: len(first)]] == first, cap
+        x_cap = iterates[cap]
+        assert points[-1].tobytes() == x_cap.tobytes(), cap
         assert rep.pair.x.tobytes() == (x_cap / np.sqrt(x_cap.dot(x_cap))).tobytes(), cap
         assert rep.pair.lam == full.trace[cap].lam, cap
 
 
-def test_a_replayed_cycle_skips_its_evaluations(ex5, monkeypatch):
+def test_a_replayed_cycle_skips_its_evaluations(ex5):
     """The 500-capped run of the cycle above evaluates its first 29 iterates,
     the last iterations below the cap and no replayed one."""
-    calls = []
-    evaluate = teicp.solvers.evaluate
-
-    def counting_evaluate(*args):
-        calls.append(1)
-        return evaluate(*args)
-
-    monkeypatch.setattr(teicp.solvers, "evaluate", counting_evaluate)
     A, B = ex5
-    rep = spa(A, B, random_start(5, _CYCLE_START))
+    with evaluated_points() as points:
+        rep = spa(A, B, random_start(5, _CYCLE_START))
     assert rep.status is Status.MAX_ITERS
     assert (rep.iters, len(rep.trace)) == (500, 501)
-    assert len(calls) < 150
+    assert len(points) < 150
 
 
 def test_a_cycling_run_stops_polishing_at_the_cycle(ex1, monkeypatch):
@@ -839,11 +845,13 @@ def test_gemv_pass_matches_per_call_reduce():
             if name in ("spg1", "spg2"):
                 merits.append(MeritKind.LOGARITHMIC)
             for merit in merits:
-                cfg = SolverConfig(merit=merit, keep_iterates=True)
+                cfg = SolverConfig(merit=merit)
                 for i, x0 in enumerate(starts):
                     case = (problem, name, merit, i)
-                    got = solver(A, B, x0, cfg)
-                    want = solver(A_ref, B, x0, cfg)
+                    with evaluated_points() as got_points:
+                        got = solver(A, B, x0, cfg)
+                    with evaluated_points() as want_points:
+                        want = solver(A_ref, B, x0, cfg)
                     assert (got.status, got.iters) == (want.status, want.iters), case
                     assert abs(got.pair.lam - want.pair.lam) <= 1e-10, case
                     np.testing.assert_allclose(
@@ -854,8 +862,8 @@ def test_gemv_pass_matches_per_call_reduce():
                         err_msg=str(case),
                     )
                     np.testing.assert_allclose(got.pair.x, want.pair.x, rtol=0, atol=1e-9, err_msg=str(case))
-                    assert len(got.iterates) == len(want.iterates), case
-                    for a, b in zip(got.iterates, want.iterates):
+                    assert len(got_points) == len(want_points), case
+                    for a, b in zip(got_points, want_points):
                         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=str(case))
                     np.testing.assert_allclose(
                         _trace_rows(got), _trace_rows(want), rtol=1e-8, atol=1e-8, err_msg=str(case)
@@ -1048,8 +1056,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="rho"):
         SolverConfig(rho=math.nan)
     # A cap that k >= max_iters never meets would let a run that never
-    # certifies go on for ever.
-    for bad in (math.inf, math.nan, 2.5, 0, -3):
+    # certifies go on for ever.  A bool is an Integral, so True ran one
+    # iteration without a word.
+    for bad in (math.inf, math.nan, 2.5, 0, -3, True):
         with pytest.raises(ValueError, match="max_iters must be a positive integer"):
             SolverConfig(max_iters=bad)
     assert SolverConfig(max_iters=np.int64(7)).max_iters == 7

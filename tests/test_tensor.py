@@ -12,6 +12,7 @@ from helpers import (
     ReduceTensor,
     class_keys_reference,
     dense_contract,
+    evaluated_points,
     fd_jacobian,
     formula_tensor_reference,
     rel_err,
@@ -389,8 +390,9 @@ def test_newton_face_polishes_any_operator():
     A, B = build(parse_problem("ex1"))
     faces = 0
     for seed in (0, 1, 15):
-        rep = teicp.solvers.spg1(A, B, random_start(3, seed), teicp.solvers.SolverConfig(keep_iterates=True))
-        x = rep.iterates[-1] / np.linalg.norm(rep.iterates[-1])
+        with evaluated_points() as points:
+            rep = teicp.solvers.spg1(A, B, random_start(3, seed))
+        x = points[-1] / np.linalg.norm(points[-1])
         lam = rep.trace[-1].lam
         support = np.flatnonzero(x > 1e-2)
         faces += support.size < A.dim
